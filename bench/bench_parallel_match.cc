@@ -64,12 +64,10 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 /// The re-add lands on the token storage the removals just vacated, so for
 /// Rete it must be served from the arena free lists — the run aborts if
 /// the recycling counter stayed at zero.
-Measured RunOnce(MatcherKind kind, int threads, int rules, int players,
-                 bool soa = true) {
+Measured RunOnce(MatcherKind kind, int threads, int rules, int players) {
   EngineOptions options;
   options.matcher = kind;
   options.match_threads = threads;
-  options.rete.soa_memories = soa;
   Engine engine(options);
   engine.set_output(DevNull());
   MustLoad(engine, HeavyProgram(rules));
@@ -179,43 +177,21 @@ void PrintTable(JsonReport* report) {
         report->MatchStats(m.stats);
       }
     }
-    if (kind != MatcherKind::kRete && kind != MatcherKind::kTreat) continue;
-    // Tuple-layout (AoS) ablation rows for the matchers that carry the
-    // columnar match-state flag; the default rows above are soa=on.
-    for (int threads : {0, 4}) {
-      Measured m = RunOnce(kind, threads, kRules, kPlayers, /*soa=*/false);
-      std::printf(
-          "%7s %8d | %10.2f %7s  | %10.2f %7s  | %9.2f | %9llu %9llu"
-          "  (soa=off)\n",
-          KindName(kind), threads, m.add_ms, "", m.remove_ms, "", m.readd_ms,
-          static_cast<unsigned long long>(m.stats.pool.tasks),
-          static_cast<unsigned long long>(m.stats.pool.max_task_depth));
-      if (report != nullptr) {
-        report->BeginRow(std::string(KindName(kind)) +
-                         "/threads=" + std::to_string(threads) + "/soa=off");
-        report->Value("threads", threads);
-        report->Value("soa_memories", 0);
-        report->Value("add_ms", m.add_ms);
-        report->Value("remove_ms", m.remove_ms);
-        report->Value("readd_ms", m.readd_ms);
-        report->MatchStats(m.stats);
-      }
-    }
   }
   std::printf("\n(the per-rule beta/alpha work dominates and shards cleanly;\n"
               " the serialized parts — WM staging, alpha inserts, the\n"
               " conflict-set merge — stay on the coordinator)\n\n");
 }
 
-// --- intra-rule sweep -----------------------------------------------------
+// --- intra-rule sweep (TREAT) ----------------------------------------------
 //
 // Two wide rules on purpose: with fewer rules than threads, the per-rule
 // fan-out from the tentpole above cannot fill the pool, so any further
-// speedup must come from splitting a single rule's work. Rete slices its
-// batch replay scans; TREAT slices the add-rule full search. Both phases
-// are timed: `rule ms` loads the rules into an already-populated WM (the
-// TREAT split site), `add ms` commits a second player batch (the Rete
-// split site).
+// speedup must come from splitting a single rule's work. TREAT slices the
+// add-rule full search. Both phases are timed: `rule ms` loads the rules
+// into an already-populated WM (the split site), `add ms` commits a second
+// player batch (seeded searches, which never split). The split=0 rows at
+// every thread count are the controls: the same pool with no slicing.
 
 constexpr int kIntraRules = 2;
 constexpr int kIntraPlayers = 2048;
@@ -227,9 +203,9 @@ struct IntraMeasured {
   Engine::MatchStats stats;
 };
 
-IntraMeasured RunIntraOnce(MatcherKind kind, int threads, int split) {
+IntraMeasured RunIntraOnce(int threads, int split) {
   EngineOptions options;
-  options.matcher = kind;
+  options.matcher = MatcherKind::kTreat;
   options.match_threads = threads;
   options.intra_rule_split_min_tokens = split;
   Engine engine(options);
@@ -266,11 +242,11 @@ IntraMeasured RunIntraOnce(MatcherKind kind, int threads, int split) {
 }
 
 void PrintIntraTable(JsonReport* report) {
-  std::printf("=== intra-rule split sweep (threshold x threads) ===\n");
+  std::printf("=== intra-rule split sweep, TREAT (threshold x threads) ===\n");
   std::printf("%d rules only — too few to fill the pool rule-per-task; "
-              "%d players\npre-loaded, rules added on top (TREAT split "
-              "site), then %d more\nplayers in one batch (Rete split site); "
-              "threshold 0 disables splitting\n\n",
+              "%d players\npre-loaded, rules added on top (the split "
+              "site), then %d more\nplayers in one batch; threshold 0 "
+              "disables splitting\n\n",
               kIntraRules, kIntraPlayers, kIntraSecondBatch);
   if (report != nullptr) {
     report->Config("rules", kIntraRules);
@@ -281,44 +257,34 @@ void PrintIntraTable(JsonReport* report) {
   std::printf("%7s %6s %8s | %9s %8s | %9s %8s | %7s %7s\n", "matcher",
               "split", "threads", "rule ms", "speedup", "add ms", "speedup",
               "splits", "slices");
-  for (MatcherKind kind : {MatcherKind::kRete, MatcherKind::kTreat}) {
-    double base_rule = 0, base_add = 0;
-    for (int split : {0, 1024, 256, 64}) {
-      for (int threads : {0, 2, 4, 8}) {
-        if (split == 0 && threads != 0) continue;  // one no-split baseline
-        IntraMeasured m = RunIntraOnce(kind, threads, split);
-        if (split == 0) {
-          base_rule = m.rule_ms;
-          base_add = m.add_ms;
-        }
-        uint64_t splits = kind == MatcherKind::kRete
-                              ? m.stats.rete.intra_splits
-                              : m.stats.treat.intra_splits;
-        uint64_t slices = kind == MatcherKind::kRete
-                              ? m.stats.rete.intra_slice_tasks
-                              : m.stats.treat.intra_slice_tasks;
-        std::printf(
-            "%7s %6d %8d | %9.2f %7.2fx | %9.2f %7.2fx | %7llu %7llu\n",
-            KindName(kind), split, threads, m.rule_ms, base_rule / m.rule_ms,
-            m.add_ms, base_add / m.add_ms,
-            static_cast<unsigned long long>(splits),
-            static_cast<unsigned long long>(slices));
-        if (report != nullptr) {
-          report->BeginRow(std::string(KindName(kind)) +
-                           "/split=" + std::to_string(split) +
-                           "/threads=" + std::to_string(threads));
-          report->Value("split_min_tokens", split);
-          report->Value("threads", threads);
-          report->Value("rule_ms", m.rule_ms);
-          report->Value("add_ms", m.add_ms);
-          report->Value("rule_speedup", base_rule / m.rule_ms);
-          report->Value("add_speedup", base_add / m.add_ms);
-          report->MatchStats(m.stats);
-        }
+  double base_rule = 0, base_add = 0;
+  for (int split : {0, 1024, 256, 64}) {
+    for (int threads : {0, 2, 4, 8}) {
+      IntraMeasured m = RunIntraOnce(threads, split);
+      if (split == 0 && threads == 0) {
+        base_rule = m.rule_ms;
+        base_add = m.add_ms;
+      }
+      std::printf(
+          "%7s %6d %8d | %9.2f %7.2fx | %9.2f %7.2fx | %7llu %7llu\n",
+          "TREAT", split, threads, m.rule_ms, base_rule / m.rule_ms, m.add_ms,
+          base_add / m.add_ms,
+          static_cast<unsigned long long>(m.stats.treat.intra_splits),
+          static_cast<unsigned long long>(m.stats.treat.intra_slice_tasks));
+      if (report != nullptr) {
+        report->BeginRow("TREAT/split=" + std::to_string(split) +
+                         "/threads=" + std::to_string(threads));
+        report->Value("split_min_tokens", split);
+        report->Value("threads", threads);
+        report->Value("rule_ms", m.rule_ms);
+        report->Value("add_ms", m.add_ms);
+        report->Value("rule_speedup", base_rule / m.rule_ms);
+        report->Value("add_speedup", base_add / m.add_ms);
+        report->MatchStats(m.stats);
       }
     }
   }
-  std::printf("\n(slice forks pay a per-batch fork/merge toll, so the win\n"
+  std::printf("\n(slice forks pay a per-search fork/merge toll, so the win\n"
               " depends on slice width: low thresholds over-shard small\n"
               " alphas, high thresholds never engage)\n\n");
 }

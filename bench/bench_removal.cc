@@ -2,12 +2,8 @@
 // One join-heavy rule per team is driven through three phases — a bulk add
 // transaction, a bulk remove transaction retracting half the WMEs, and a
 // churn loop of remove+re-add transactions that hammers the token arena
-// free lists. The sweep ablates the removal-path options
-// (`rete.bulk_removal`: per-batch bulk token-tree deletion vs per-token
-// tree walks; `rete.token_slab`: slab-backed token arenas vs tracked heap
-// allocation; `rete.soa_memories`: columnar vs tuple-oriented match-state
-// layout) at sequential and parallel thread counts. Run with `--json` to
-// also write BENCH_removal.json.
+// free lists — at sequential and parallel thread counts. Run with `--json`
+// to also write BENCH_removal.json.
 
 #include <benchmark/benchmark.h>
 
@@ -55,13 +51,10 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-Measured RunOnce(bool bulk, int slab, int threads, bool soa = true) {
+Measured RunOnce(int threads) {
   EngineOptions options;
   options.matcher = MatcherKind::kRete;
   options.match_threads = threads;
-  options.rete.bulk_removal = bulk;
-  options.rete.token_slab = slab;
-  options.rete.soa_memories = soa;
   Engine engine(options);
   engine.set_output(DevNull());
   MustLoad(engine, RemovalProgram(kRules));
@@ -114,26 +107,23 @@ Measured RunOnce(bool bulk, int slab, int threads, bool soa = true) {
   m.churn_ms = MsSince(t2);
 
   m.stats = engine.match_stats();
-  // Every configuration recycles dead tokens through the free lists
-  // (slab-backed or tracked-heap, bulk or per-token), so the churn loop
-  // must produce pool hits — zero means recycling regressed.
+  // Removal recycles dead tokens through the arena free lists, so the
+  // churn loop must produce pool hits — zero means recycling regressed.
   if (m.stats.rete.token_pool_hits == 0) {
     std::fprintf(stderr,
                  "bench_removal: rete.token_pool_hits == 0 after churn "
-                 "(bulk=%d slab=%d threads=%d) — token recycling is broken\n",
-                 bulk ? 1 : 0, slab, threads);
+                 "(threads=%d) — token recycling is broken\n",
+                 threads);
     std::abort();
   }
   return m;
 }
 
 void PrintTable(JsonReport* report) {
-  std::printf("=== removal path: bulk deletion x token arenas ===\n");
+  std::printf("=== removal path: bulk token-tree deletion ===\n");
   std::printf("%d rules (one per team), %d players added in 1 transaction,\n"
               "half removed in a second, then %d churn rounds of %d "
-              "remove+re-add;\nbulk=off walks token trees one WME at a "
-              "time, slab=0 allocates\ntokens from the tracked heap (the "
-              "two ablation baselines)\n\n",
+              "remove+re-add\n\n",
               kRules, kPlayers, kChurnRounds, kChurnSize);
   if (report != nullptr) {
     report->Config("rules", kRules);
@@ -142,72 +132,54 @@ void PrintTable(JsonReport* report) {
     report->Config("churn_size", kChurnSize);
     report->Config("host_cores", std::thread::hardware_concurrency());
   }
-  std::printf("%5s %5s %8s %4s | %8s %9s %8s | %9s %7s %7s\n", "bulk",
-              "slab", "threads", "soa", "add ms", "remove ms", "churn ms",
-              "pool hits", "bulkdel", "slabs");
+  std::printf("%8s | %8s %9s %8s | %9s %7s %7s\n", "threads", "add ms",
+              "remove ms", "churn ms", "pool hits", "bulkdel", "slabs");
   // Discarded warmup: the process's first run pays one-time costs (page
   // faults, lazy allocator growth) that would otherwise land entirely on
-  // the first table row and skew its ablation comparison.
-  RunOnce(true, 256, 0);
-  for (bool bulk : {true, false}) {
-    for (int slab : {256, 0}) {
-      for (int threads : {0, 4}) {
-        for (bool soa : {true, false}) {
-          Measured m = RunOnce(bulk, slab, threads, soa);
-          std::printf(
-              "%5s %5d %8d %4s | %8.2f %9.2f %8.2f | %9llu %7llu %7llu\n",
-              bulk ? "on" : "off", slab, threads, soa ? "on" : "off",
-              m.add_ms, m.remove_ms, m.churn_ms,
-              static_cast<unsigned long long>(m.stats.rete.token_pool_hits),
-              static_cast<unsigned long long>(m.stats.rete.bulk_deletes),
-              static_cast<unsigned long long>(m.stats.rete.arena_slabs));
-          if (report != nullptr) {
-            report->BeginRow(std::string("bulk=") + (bulk ? "on" : "off") +
-                             "/slab=" + std::to_string(slab) +
-                             "/threads=" + std::to_string(threads) +
-                             "/soa=" + (soa ? "on" : "off"));
-            report->Value("bulk_removal", bulk ? 1 : 0);
-            report->Value("token_slab", slab);
-            report->Value("threads", threads);
-            report->Value("soa_memories", soa ? 1 : 0);
-            report->Value("add_ms", m.add_ms);
-            report->Value("remove_ms", m.remove_ms);
-            report->Value("churn_ms", m.churn_ms);
-            report->MatchStats(m.stats);
-            // Not part of the MatchStats flatten (their values are
-            // configuration-shaped, not workload-shaped), but this bench is
-            // precisely about them.
-            report->Value("rete.bulk_deletes",
-                          static_cast<double>(m.stats.rete.bulk_deletes));
-            report->Value("rete.arena_slabs",
-                          static_cast<double>(m.stats.rete.arena_slabs));
-            report->Value("wm.wme_pool_hits",
-                          static_cast<double>(m.stats.wm.wme_pool_hits));
-            report->Value("wm.wme_slabs",
-                          static_cast<double>(m.stats.wm.wme_slabs));
-          }
-        }
-      }
+  // the first table row.
+  RunOnce(0);
+  for (int threads : {0, 4}) {
+    Measured m = RunOnce(threads);
+    std::printf("%8d | %8.2f %9.2f %8.2f | %9llu %7llu %7llu\n", threads,
+                m.add_ms, m.remove_ms, m.churn_ms,
+                static_cast<unsigned long long>(m.stats.rete.token_pool_hits),
+                static_cast<unsigned long long>(m.stats.rete.bulk_deletes),
+                static_cast<unsigned long long>(m.stats.rete.arena_slabs));
+    if (report != nullptr) {
+      report->BeginRow("threads=" + std::to_string(threads));
+      report->Value("threads", threads);
+      report->Value("add_ms", m.add_ms);
+      report->Value("remove_ms", m.remove_ms);
+      report->Value("churn_ms", m.churn_ms);
+      report->MatchStats(m.stats);
+      // Not part of the MatchStats flatten, but this bench is precisely
+      // about them.
+      report->Value("rete.bulk_deletes",
+                    static_cast<double>(m.stats.rete.bulk_deletes));
+      report->Value("rete.arena_slabs",
+                    static_cast<double>(m.stats.rete.arena_slabs));
+      report->Value("wm.wme_pool_hits",
+                    static_cast<double>(m.stats.wm.wme_pool_hits));
+      report->Value("wm.wme_slabs",
+                    static_cast<double>(m.stats.wm.wme_slabs));
     }
   }
-  std::printf("\n(bulk deletion turns per-token output/child/anchor erases\n"
-              " into one stable compaction per dirty container per batch;\n"
-              " the arenas keep dead tokens on per-rule free lists so churn\n"
-              " stops round-tripping through the heap)\n\n");
+  std::printf("\n(bulk deletion compacts each dirty output/child/anchor\n"
+              " container once per flush; the arenas keep dead tokens on\n"
+              " per-rule free lists so churn stops round-tripping through\n"
+              " the heap)\n\n");
 }
 
 void BM_RemovalChurn(benchmark::State& state) {
-  bool bulk = state.range(0) != 0;
-  int threads = static_cast<int>(state.range(1));
+  int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Measured m = RunOnce(bulk, 256, threads);
+    Measured m = RunOnce(threads);
     benchmark::DoNotOptimize(m.remove_ms);
   }
-  state.SetLabel(std::string(bulk ? "bulk" : "per-token") + " threads=" +
-                 std::to_string(threads));
+  state.SetLabel("threads=" + std::to_string(threads));
   state.SetItemsProcessed(state.iterations() * kPlayers);
 }
-BENCHMARK(BM_RemovalChurn)->Args({1, 0})->Args({0, 0})->Args({1, 4});
+BENCHMARK(BM_RemovalChurn)->Arg(0)->Arg(4);
 
 }  // namespace
 }  // namespace bench

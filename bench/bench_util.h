@@ -122,9 +122,6 @@ class JsonReport {
     Value("rete.parallel_batches",
           static_cast<double>(s.rete.parallel_batches));
     Value("rete.replay_tasks", static_cast<double>(s.rete.replay_tasks));
-    Value("rete.intra_splits", static_cast<double>(s.rete.intra_splits));
-    Value("rete.intra_slice_tasks",
-          static_cast<double>(s.rete.intra_slice_tasks));
     Value("select.selects", static_cast<double>(s.select.selects));
     Value("select.comparisons", static_cast<double>(s.select.comparisons));
     Value("snode.test_evals", static_cast<double>(s.snode.test_evals));

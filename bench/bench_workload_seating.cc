@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -17,13 +16,12 @@ namespace {
 
 int RunSeating(MatcherKind kind, int guests, bool set_oriented_done,
                bool indexed = true, int match_threads = 0,
-               int intra_split = 0, bool parallel_rhs = false) {
+               bool parallel_rhs = false) {
   EngineOptions options;
   options.matcher = kind;
   options.rete.use_indexed_joins = indexed;
   options.indexed_conflict_set = indexed;
   options.match_threads = match_threads;
-  options.intra_rule_split_min_tokens = intra_split;
   options.parallel_rhs = parallel_rhs;
   Engine engine(options);
   engine.set_output(DevNull());
@@ -131,31 +129,6 @@ BENCHMARK(BM_SeatingThreads)
     ->Args({4, 64})
     ->Args({8, 64});
 
-/// Intra-rule split sweep on the macro workload. Seating alphas hold at
-/// most `guests` rows, so low thresholds engage slicing on every
-/// seat-next replay while high ones leave it off — this benchmarks the
-/// fork/merge toll when slices are tiny, the worst case for the feature.
-void BM_SeatingIntraRule(benchmark::State& state) {
-  int split = static_cast<int>(state.range(0));
-  int threads = static_cast<int>(state.range(1));
-  int guests = static_cast<int>(state.range(2));
-  for (auto _ : state) {
-    int fired = RunSeating(MatcherKind::kRete, guests,
-                           /*set_oriented_done=*/true, /*indexed=*/true,
-                           threads, split);
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetLabel("split=" + std::to_string(split) +
-                 " threads=" + std::to_string(threads));
-  state.SetItemsProcessed(state.iterations() * guests);
-}
-BENCHMARK(BM_SeatingIntraRule)
-    ->Args({0, 4, 64})
-    ->Args({4, 4, 64})
-    ->Args({16, 4, 64})
-    ->Args({4, 2, 64})
-    ->Args({4, 8, 64});
-
 /// Parallel RHS on/off: the set-oriented completion rule is the only
 /// multi-member firing, so this measures pool fork overhead against one
 /// wide set-modify-style action per run.
@@ -165,7 +138,7 @@ void BM_SeatingParallelRhs(benchmark::State& state) {
   for (auto _ : state) {
     int fired = RunSeating(MatcherKind::kRete, guests,
                            /*set_oriented_done=*/true, /*indexed=*/true,
-                           /*match_threads=*/0, /*intra_split=*/0, parallel);
+                           /*match_threads=*/0, parallel);
     benchmark::DoNotOptimize(fired);
   }
   state.SetLabel(parallel ? "parallel_rhs" : "sequential rhs");
@@ -183,53 +156,12 @@ void PrintHeader() {
               "set-oriented report)\n\n", fired);
 }
 
-/// Wall-clock sweep of the intra-rule threshold on the macro workload,
-/// mirrored into BENCH_seating_intra.json under --json. The workload is
-/// latency-bound (one firing at a time over small alphas), so the
-/// interesting number is how close the split path stays to the threads=0
-/// baseline, not any speedup.
-void PrintIntraSweep(JsonReport* report) {
-  constexpr int kGuests = 64;
-  std::printf("--- intra-rule sweep, %d guests (Rete) ---\n", kGuests);
-  if (report != nullptr) report->Config("guests", kGuests);
-  std::printf("%6s %8s | %9s %9s\n", "split", "threads", "total ms",
-              "vs base");
-  double base_ms = 0;
-  for (int split : {0, 4, 16}) {
-    for (int threads : {0, 2, 4}) {
-      if (split == 0 && threads != 0) continue;
-      auto t0 = std::chrono::steady_clock::now();
-      RunSeating(MatcherKind::kRete, kGuests, /*set_oriented_done=*/true,
-                 /*indexed=*/true, threads, split);
-      double ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-      if (split == 0) base_ms = ms;
-      std::printf("%6d %8d | %9.2f %8.2fx\n", split, threads, ms,
-                  base_ms / ms);
-      if (report != nullptr) {
-        report->BeginRow("split=" + std::to_string(split) +
-                         "/threads=" + std::to_string(threads));
-        report->Value("split_min_tokens", split);
-        report->Value("threads", threads);
-        report->Value("total_ms", ms);
-        report->Value("speedup", base_ms / ms);
-      }
-    }
-  }
-  std::printf("\n");
-}
-
 }  // namespace
 }  // namespace bench
 }  // namespace sorel
 
 int main(int argc, char** argv) {
-  bool json = sorel::bench::StripJsonFlag(&argc, argv);
   sorel::bench::PrintHeader();
-  sorel::bench::JsonReport report("seating_intra");
-  sorel::bench::PrintIntraSweep(json ? &report : nullptr);
-  if (json && !report.Write()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

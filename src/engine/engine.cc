@@ -38,7 +38,7 @@ Engine::Engine(EngineOptions options, RuleBasePtr base)
       base_(std::move(base)),
       wm_(std::make_unique<WorkingMemory>(
           base_ != nullptr ? &base_->schemas() : &schemas_, &symbols_,
-          &metrics_, &trace_, options_.wme_arena)),
+          &metrics_, &trace_)),
       cs_(options_.indexed_conflict_set, &metrics_),
       compiler_(&symbols_, &schemas_),
       rhs_(wm_.get(), &symbols_, &std::cout, &metrics_, &trace_) {
@@ -69,10 +69,7 @@ Engine::Engine(EngineOptions options, RuleBasePtr base)
   // propagation — a parallel_rhs-only pool must not flip them onto the
   // parallel batch path.
   ThreadPool* match_pool = options_.match_threads > 0 ? pool_.get() : nullptr;
-  if (match_pool != nullptr) {
-    options_.rete.pool = match_pool;
-    options_.rete.intra_split_min = options_.intra_rule_split_min_tokens;
-  }
+  if (match_pool != nullptr) options_.rete.pool = match_pool;
   options_.rete.metrics = &metrics_;
   options_.rete.tracer = &trace_;
   if (options_.matcher == MatcherKind::kRete) {
@@ -92,7 +89,7 @@ Engine::Engine(EngineOptions options, RuleBasePtr base)
   } else if (options_.matcher == MatcherKind::kTreat) {
     auto treat = std::make_unique<TreatMatcher>(
         wm_.get(), &cs_, match_pool, options_.intra_rule_split_min_tokens,
-        &metrics_, &trace_, options_.rete.soa_memories);
+        &metrics_, &trace_);
     treat_ = treat.get();
     matcher_ = std::move(treat);
   } else if (options_.matcher == MatcherKind::kPlan) {
@@ -397,8 +394,6 @@ Engine::MatchStats Engine::match_stats() const {
   stats.rete.token_pool_hits = get("rete.token_pool_hits");
   stats.rete.parallel_batches = get("rete.parallel_batches");
   stats.rete.replay_tasks = get("rete.replay_tasks");
-  stats.rete.intra_splits = get("rete.intra_splits");
-  stats.rete.intra_slice_tasks = get("rete.intra_slice_tasks");
   stats.rete.bulk_deletes = get("rete.bulk_deletes");
   stats.rete.arena_slabs = get("rete.arena_slabs");
   stats.select.selects = get("select.selects");

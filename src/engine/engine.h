@@ -69,12 +69,6 @@ struct EngineOptions {
   /// mid-action rolls the whole firing back (§8.1). Off restores the
   /// seed's per-WME propagation — the ablation baseline.
   bool batched_wm = true;
-  /// Allocate WMEs from a per-WM slab pool (`std::allocate_shared` with a
-  /// block-recycling allocator), so WME payloads and their shared_ptr
-  /// control blocks sit in contiguous, recycled storage — removal-heavy
-  /// churn stops round-tripping through the general-purpose heap. Off
-  /// (ablation baseline) falls back to make_shared.
-  bool wme_arena = true;
   /// Worker threads for batch match propagation. 0 (the ablation baseline)
   /// keeps the single-threaded path; N > 0 spawns a pool of N workers and
   /// every matcher fans each ChangeBatch out per rule (Rete replays
@@ -83,11 +77,11 @@ struct EngineOptions {
   /// deterministically — firing traces, conflict-set order, and time-tag
   /// counters are bit-identical to match_threads = 0.
   int match_threads = 0;
-  /// Intra-rule match parallelism (kRete / kTreat, with match_threads > 0):
-  /// when one rule's replay work scans at least this many candidate tokens
-  /// or alpha rows, the scan's pure join tests fork into slices on the
-  /// worker pool; token creation, propagation, and conflict-set sends stay
-  /// serial in scan order, so traces remain bit-identical. 0 disables.
+  /// Intra-rule match parallelism (kTreat only, with match_threads > 0):
+  /// when a full search's first-CE alpha memory holds at least this many
+  /// WMEs, the search forks into slices on the worker pool; emission
+  /// (dedup and conflict-set sends) stays serial in scan order, so traces
+  /// remain bit-identical. 0 disables. Other matchers ignore it.
   int intra_rule_split_min_tokens = 0;
   /// Evaluate the member expressions of one firing's set-modify (and of a
   /// foreach whose body is only make/modify/remove) on the worker pool;

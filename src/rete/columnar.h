@@ -20,10 +20,9 @@ namespace sorel {
 /// Invariants:
 ///  - live rows keep their relative (insertion) order forever — appends go
 ///    at the end and Compact is stable — so a scan over live rows visits
-///    WMEs in exactly the order the AoS `vector<WmePtr>` would;
-///  - `wmes_[row]` is reset at Kill time, the same moment the AoS layout's
-///    `erase` drops its reference, so WME block recycling order (and the
-///    `wm.wme_pool_hits` counter) is identical across layouts;
+///    WMEs in insertion order;
+///  - `wmes_[row]` is reset at Kill time, so a removed WME's block goes back
+///    to the WME pool when the removal happens, not at the next compaction;
 ///  - `tags_[row]` survives the kill until compaction: removal runs and
 ///    replay-visibility checks identify rows by time tag alone.
 class AlphaColumns {
@@ -91,56 +90,30 @@ class AlphaColumns {
   size_t live_ = 0;
 };
 
-/// A read-only view over one alpha scan's worth of items, abstracting over
-/// the two layouts: an AoS `vector<WmePtr>` span, or a set of rows in an
-/// AlphaColumns store (all rows, or an index bucket's row-id list). Join
-/// loops iterate positions [0, size()) and use Live/Tag/Ptr; the AoS side
-/// is always fully live.
+/// A read-only view over one alpha scan's worth of rows in an AlphaColumns
+/// store: all rows, or an index bucket's row-id list. Join loops iterate
+/// positions [0, size()) and use Live/Tag/Ptr.
 class AlphaSpan {
  public:
   AlphaSpan() = default;
-  explicit AlphaSpan(const std::vector<WmePtr>* aos) : aos_(aos) {}
   AlphaSpan(const AlphaColumns* cols, const std::vector<uint32_t>* rows)
       : cols_(cols), rows_(rows) {}
 
   size_t size() const {
-    if (aos_ != nullptr) return aos_->size();
     if (cols_ == nullptr) return 0;
     return rows_ != nullptr ? rows_->size() : cols_->rows();
   }
   bool empty() const { return size() == 0; }
-  bool columnar() const { return cols_ != nullptr; }
 
-  bool Live(size_t i) const {
-    return aos_ != nullptr || cols_->IsLive(Row(i));
-  }
-  TimeTag Tag(size_t i) const {
-    return aos_ != nullptr ? (*aos_)[i]->time_tag() : cols_->Tag(Row(i));
-  }
-  const WmePtr& Ptr(size_t i) const {
-    return aos_ != nullptr ? (*aos_)[i] : cols_->Ptr(Row(i));
-  }
-
-  /// Narrows a columnar span to its live rows, gathered into `*sel` (a
-  /// caller-provided scratch selection vector). AoS spans are returned
-  /// unchanged — they have no dead entries. The gathered span's size is the
-  /// layout-independent "physical item count" used for split decisions.
-  AlphaSpan GatherLive(std::vector<uint32_t>* sel) const {
-    if (aos_ != nullptr) return *this;
-    sel->clear();
-    size_t n = size();
-    for (size_t i = 0; i < n; ++i) {
-      if (cols_->IsLive(Row(i))) sel->push_back(Row(i));
-    }
-    return AlphaSpan(cols_, sel);
-  }
+  bool Live(size_t i) const { return cols_->IsLive(Row(i)); }
+  TimeTag Tag(size_t i) const { return cols_->Tag(Row(i)); }
+  const WmePtr& Ptr(size_t i) const { return cols_->Ptr(Row(i)); }
 
  private:
   uint32_t Row(size_t i) const {
     return rows_ != nullptr ? (*rows_)[i] : static_cast<uint32_t>(i);
   }
 
-  const std::vector<WmePtr>* aos_ = nullptr;
   const AlphaColumns* cols_ = nullptr;
   const std::vector<uint32_t>* rows_ = nullptr;  // null = all rows
 };

@@ -14,55 +14,6 @@ thread_local ReteMatcher::ReplayCtx* ReteMatcher::tls_replay_ = nullptr;
 
 // ---------------------------------------------------------------- alpha ---
 
-AlphaMemory::AlphaMemory(const AlphaPattern* pattern, bool soa)
-    : pattern_(pattern), soa_(soa) {}
-
-JoinKey AlphaMemory::Index::KeyOf(const Wme& wme) const {
-  JoinKey key;
-  key.values.reserve(fields_.size());
-  for (int f : fields_) key.values.push_back(wme.field(f));
-  return key;
-}
-
-const std::vector<WmePtr>* AlphaMemory::Index::Find(const JoinKey& key) const {
-  auto it = buckets_.find(key);
-  return it == buckets_.end() ? nullptr : &it->second;
-}
-
-void AlphaMemory::Index::Insert(const WmePtr& wme) {
-  buckets_[KeyOf(*wme)].push_back(wme);
-}
-
-void AlphaMemory::Index::Remove(const WmePtr& wme) {
-  auto it = buckets_.find(KeyOf(*wme));
-  if (it == buckets_.end()) return;
-  auto& bucket = it->second;
-  bucket.erase(std::remove(bucket.begin(), bucket.end(), wme), bucket.end());
-  if (bucket.empty()) buckets_.erase(it);
-}
-
-void AlphaMemory::Index::RemoveBatch(
-    const std::vector<WmePtr>& wmes,
-    const std::unordered_set<const Wme*>& victims) {
-  if (wmes.size() == 1) {
-    Remove(wmes.front());
-    return;
-  }
-  // Group the victims' keys so each touched bucket is compacted once even
-  // when many victims share it.
-  std::unordered_set<JoinKey, JoinKeyHash> keys;
-  keys.reserve(wmes.size());
-  for (const WmePtr& w : wmes) keys.insert(KeyOf(*w));
-  for (const JoinKey& key : keys) {
-    auto it = buckets_.find(key);
-    if (it == buckets_.end()) continue;
-    std::erase_if(it->second, [&](const WmePtr& w) {
-      return victims.count(w.get()) != 0;
-    });
-    if (it->second.empty()) buckets_.erase(it);
-  }
-}
-
 const std::vector<uint32_t>* AlphaMemory::Index::FindRows(
     const JoinKey& key) const {
   auto it = row_buckets_.find(key);
@@ -119,33 +70,21 @@ AlphaMemory::Index* AlphaMemory::GetOrCreateIndex(
   for (const auto& idx : indexes_) {
     if (idx->fields() == fields) return idx.get();
   }
-  auto idx = std::make_unique<Index>(fields, soa_);
-  if (soa_) {
-    for (uint32_t row = 0; row < cols_.rows(); ++row) {
-      idx->InsertRow(cols_.Ptr(row).get(), row, cols_.IsLive(row));
-    }
-  } else {
-    for (const WmePtr& w : items_) idx->Insert(w);
+  auto idx = std::make_unique<Index>(fields);
+  for (uint32_t row = 0; row < cols_.rows(); ++row) {
+    idx->InsertRow(cols_.Ptr(row).get(), row, cols_.IsLive(row));
   }
   indexes_.push_back(std::move(idx));
   return indexes_.back().get();
 }
 
 AlphaSpan AlphaMemory::Probe(const Index* index, const JoinKey& key) const {
-  if (soa_) {
-    const std::vector<uint32_t>* rows = index->FindRows(key);
-    return rows == nullptr ? AlphaSpan() : AlphaSpan(&cols_, rows);
-  }
-  const std::vector<WmePtr>* bucket = index->Find(key);
-  return bucket == nullptr ? AlphaSpan() : AlphaSpan(bucket);
+  const std::vector<uint32_t>* rows = index->FindRows(key);
+  return rows == nullptr ? AlphaSpan() : AlphaSpan(&cols_, rows);
 }
 
 void AlphaMemory::SnapshotItems(std::vector<WmePtr>* out) const {
   out->clear();
-  if (!soa_) {
-    *out = items_;
-    return;
-  }
   out->reserve(cols_.live());
   for (uint32_t row = 0; row < cols_.rows(); ++row) {
     if (cols_.IsLive(row)) out->push_back(cols_.Ptr(row));
@@ -153,49 +92,25 @@ void AlphaMemory::SnapshotItems(std::vector<WmePtr>* out) const {
 }
 
 void AlphaMemory::AddItem(const WmePtr& wme) {
-  if (soa_) {
-    uint32_t row = cols_.Append(wme);
-    for (const auto& idx : indexes_) idx->InsertRow(wme.get(), row, true);
-    return;
-  }
-  items_.push_back(wme);
-  for (const auto& idx : indexes_) idx->Insert(wme);
+  uint32_t row = cols_.Append(wme);
+  for (const auto& idx : indexes_) idx->InsertRow(wme.get(), row, true);
 }
 
 bool AlphaMemory::RemoveItem(const WmePtr& wme) {
-  if (soa_) {
-    // Tombstone only; buckets keep the dead row until the next compaction
-    // (probe loops filter with IsLive). The WME reference drops here — the
-    // same moment the AoS erase below releases it.
-    bool found = cols_.Kill(wme->time_tag()) != AlphaColumns::kNoRow;
-    if (found) MaybeCompact();
-    return found;
-  }
-  size_t before = items_.size();
-  items_.erase(std::remove(items_.begin(), items_.end(), wme), items_.end());
-  for (const auto& idx : indexes_) idx->Remove(wme);
-  return items_.size() != before;
+  // Tombstone only; buckets keep the dead row until the next compaction
+  // (probe loops filter with IsLive). The WME reference drops here.
+  bool found = cols_.Kill(wme->time_tag()) != AlphaColumns::kNoRow;
+  if (found) MaybeCompact();
+  return found;
 }
 
 size_t AlphaMemory::RemoveItems(const std::vector<WmePtr>& wmes) {
-  if (soa_) {
-    size_t found = 0;
-    for (const WmePtr& w : wmes) {
-      if (cols_.Kill(w->time_tag()) != AlphaColumns::kNoRow) ++found;
-    }
-    if (found != 0) MaybeCompact();
-    return found;
+  size_t found = 0;
+  for (const WmePtr& w : wmes) {
+    if (cols_.Kill(w->time_tag()) != AlphaColumns::kNoRow) ++found;
   }
-  if (wmes.size() == 1) return RemoveItem(wmes.front()) ? 1 : 0;
-  std::unordered_set<const Wme*> victims;
-  victims.reserve(wmes.size());
-  for (const WmePtr& w : wmes) victims.insert(w.get());
-  size_t before = items_.size();
-  std::erase_if(items_, [&](const WmePtr& w) {
-    return victims.count(w.get()) != 0;
-  });
-  for (const auto& idx : indexes_) idx->RemoveBatch(wmes, victims);
-  return before - items_.size();
+  if (found != 0) MaybeCompact();
+  return found;
 }
 
 void AlphaMemory::MaybeCompact() {
@@ -207,12 +122,8 @@ void AlphaMemory::MaybeCompact() {
 }
 
 size_t AlphaMemory::MemoryBytes() const {
-  size_t bytes = items_.capacity() * sizeof(WmePtr) + cols_.MemoryBytes();
+  size_t bytes = cols_.MemoryBytes();
   for (const auto& idx : indexes_) {
-    for (const auto& [key, bucket] : idx->buckets_) {
-      bytes += key.values.size() * sizeof(Value) +
-               bucket.capacity() * sizeof(WmePtr);
-    }
     for (const auto& [key, bucket] : idx->row_buckets_) {
       bytes += key.values.size() * sizeof(Value) +
                bucket.capacity() * sizeof(uint32_t);
@@ -290,12 +201,6 @@ void BetaNode::OnTokenRegistered(Token* t) {
 
 bool BetaNode::IsOutputActive(const Token*) const { return true; }
 
-void BetaNode::OnOwnedTokenDeleted(Token* t) {
-  DetachToken(t);
-  outputs_.erase(std::remove(outputs_.begin(), outputs_.end(), t->self),
-                 outputs_.end());
-}
-
 void BetaNode::IndexLeftToken(Token* t) {
   if (!indexed_) return;
   JoinKey key;
@@ -334,46 +239,8 @@ void JoinNode::OnParentToken(Token* t) {
     residual = false;
   }
   const ReteMatcher::ReplayCtx* rctx = net_->CurrentReplayCtx();
-  std::vector<uint32_t> sel;
-  if (net_->ShouldSplit(span.size())) {
-    // A columnar span counts tombstoned rows; gather the live ones first so
-    // the split decision (and ParallelEval's slice layout, hence the
-    // intra_splits / intra_slice_tasks counters) sees the same candidate
-    // count the AoS layout's physically-compacted vector has.
-    AlphaSpan live = span.GatherLive(&sel);
-    if (net_->ShouldSplit(live.size())) {
-      // Intra-rule split: fork the pure join tests into slices, then
-      // create and propagate the matches serially in scan order —
-      // bit-identical to the loop below. The slices capture this thread's
-      // replay context explicitly: a pool worker's own thread-locals are
-      // not the fork's.
-      std::vector<char> hits;
-      net_->ParallelEval(
-          live.size(),
-          [&](size_t i, ReteStats* stats) {
-            if (rctx != nullptr &&
-                !net_->ReplayVisibleTag(live.Tag(i), amem_, rctx)) {
-              return false;
-            }
-            ++stats->join_attempts;
-            return residual ? MatchesResidual(t, *live.Ptr(i))
-                            : Matches(t, *live.Ptr(i));
-          },
-          &hits);
-      for (size_t i = 0; i < live.size(); ++i) {
-        if (hits[i] != 0) {
-          Token* out = net_->NewToken(this, t, live.Ptr(i));
-          PropagateDown(out);
-        }
-      }
-      return;
-    }
-    span = live;  // already gathered; fall through to the serial loop
-  }
-  // Serial loop: propagation never mutates this alpha memory, but stay
-  // defensive about iterator invalidation conventions. Dead rows are
-  // skipped before any counter bump — equivalent to their physical absence
-  // under the AoS layout.
+  // Propagation never mutates this alpha memory. Tombstoned rows are
+  // skipped before any counter bump, so they cost no join attempt.
   for (size_t i = 0; i < span.size(); ++i) {
     if (!span.Live(i)) continue;
     if (rctx != nullptr && !net_->ReplayVisibleTag(span.Tag(i), amem_, rctx)) {
@@ -411,28 +278,6 @@ void JoinNode::RightActivate(const WmePtr& wme, bool added) {
     candidates = &ParentOutputs();
     residual = false;
   }
-  if (net_->ShouldSplit(candidates->size())) {
-    // Split scan (see OnParentToken): parallel pure tests, serial in-order
-    // apply. IsOutputActive applies the same visibility filter the linear
-    // path uses, so both paths see the same candidate sequence.
-    std::vector<char> hits;
-    net_->ParallelEval(
-        candidates->size(),
-        [&](size_t i, ReteStats* stats) {
-          Token* t = TokenAt((*candidates)[i]);
-          if (!parent_->IsOutputActive(t)) return false;
-          ++stats->join_attempts;
-          return residual ? MatchesResidual(t, *wme) : Matches(t, *wme);
-        },
-        &hits);
-    for (size_t i = 0; i < candidates->size(); ++i) {
-      if (hits[i] != 0) {
-        Token* out = net_->NewToken(this, TokenAt((*candidates)[i]), wme);
-        PropagateDown(out);
-      }
-    }
-    return;
-  }
   for (size_t i = 0; i < candidates->size(); ++i) {
     Token* t = TokenAt((*candidates)[i]);
     if (!parent_->IsOutputActive(t)) continue;
@@ -467,31 +312,6 @@ int NegativeNode::CountBlockers(const Token* t) const {
     residual = false;
   }
   const ReteMatcher::ReplayCtx* rctx = net_->CurrentReplayCtx();
-  std::vector<uint32_t> sel;
-  if (net_->ShouldSplit(span.size())) {
-    // Gather live rows first so the split decision matches the AoS
-    // layout's physical count (see JoinNode::OnParentToken).
-    AlphaSpan live = span.GatherLive(&sel);
-    if (net_->ShouldSplit(live.size())) {
-      // A blocker count is order-insensitive, so the split result is the
-      // hit total — no apply phase needed.
-      std::vector<char> hits;
-      net_->ParallelEval(
-          live.size(),
-          [&](size_t i, ReteStats* stats) {
-            if (rctx != nullptr &&
-                !net_->ReplayVisibleTag(live.Tag(i), amem_, rctx)) {
-              return false;
-            }
-            ++stats->join_attempts;
-            return residual ? MatchesResidual(t, *live.Ptr(i))
-                            : Matches(t, *live.Ptr(i));
-          },
-          &hits);
-      return static_cast<int>(std::count(hits.begin(), hits.end(), 1));
-    }
-    span = live;
-  }
   int n = 0;
   for (size_t i = 0; i < span.size(); ++i) {
     if (!span.Live(i)) continue;
@@ -553,24 +373,6 @@ void NegativeNode::RightActivate(const WmePtr& wme, bool added) {
     candidates = &outputs_;
     residual = false;
   }
-  if (net_->ShouldSplit(candidates->size())) {
-    // Split scan: the join tests read only immutable WME fields and the
-    // tokens' (frozen) upstream chains — blocker counts mutate strictly in
-    // the serial apply loop below, so slice evaluation sees stable state.
-    std::vector<char> hits;
-    net_->ParallelEval(
-        candidates->size(),
-        [&](size_t i, ReteStats* stats) {
-          ++stats->join_attempts;
-          Token* t = TokenAt((*candidates)[i]);
-          return residual ? MatchesResidual(t, *wme) : Matches(t, *wme);
-        },
-        &hits);
-    for (size_t i = 0; i < candidates->size(); ++i) {
-      if (hits[i] != 0) update(TokenAt((*candidates)[i]));
-    }
-    return;
-  }
   for (size_t i = 0; i < candidates->size(); ++i) {
     Token* t = TokenAt((*candidates)[i]);
     ++net_->stats_sink().join_attempts;
@@ -587,9 +389,7 @@ void NegativeNode::Propagate(Token* t) {
 }
 
 void NegativeNode::Retract(Token* t) {
-  while (!t->children.empty()) {
-    net_->DeleteTokenTree(TokenAt(t->children.back()));
-  }
+  net_->DeleteChildren(t);
   if (sink_ != nullptr && t->propagated) sink_->OnToken(t, /*added=*/false);
   t->propagated = false;
 }
@@ -689,10 +489,6 @@ ReteMatcher::ReteMatcher(WorkingMemory* wm, ConflictSet* cs,
                        [this] { return stats_.parallel_batches; });
     m->RegisterCounter(this, "rete.replay_tasks",
                        [this] { return stats_.replay_tasks; });
-    m->RegisterCounter(this, "rete.intra_splits",
-                       [this] { return stats_.intra_splits; });
-    m->RegisterCounter(this, "rete.intra_slice_tasks",
-                       [this] { return stats_.intra_slice_tasks; });
     m->RegisterCounter(this, "rete.bulk_deletes",
                        [this] { return stats_.bulk_deletes; });
     m->RegisterCounter(this, "rete.arena_slabs",
@@ -782,48 +578,24 @@ void ResetToken(Token* t) {
 
 }  // namespace
 
-void ReteMatcher::DeleteTokenTree(Token* t) {
-  RuleShard* shard = t->owner->shard_;
-  while (!t->children.empty()) {
-    DeleteTokenTree(shard->arena.At(t->children.back()));
-  }
-  t->owner->OnOwnedTokenDeleted(t);
-  if (t->parent != nullptr) {
-    auto& siblings = t->parent->children;
-    siblings.erase(std::remove(siblings.begin(), siblings.end(), t->self),
-                   siblings.end());
-  }
-  if (t->wme != nullptr) {
-    auto it = shard->tokens_by_wme.find(t->wme->time_tag());
-    if (it != shard->tokens_by_wme.end()) {
-      auto& tokens = it->second.tokens;
-      tokens.erase(std::remove(tokens.begin(), tokens.end(), t->self),
-                   tokens.end());
-      // Eager entry erasure: an anchor entry exists iff it holds tokens,
-      // so removal drivers re-find instead of holding iterators across a
-      // cascade (see FinishRemove).
-      if (tokens.empty()) shard->tokens_by_wme.erase(it);
-    }
-  }
-  ResetToken(t);
-  shard->arena.Recycle(t);
+void ReteMatcher::DeleteChildren(Token* t) {
   ReplayCtx* ctx = CurrentReplayCtx();
-  if (ctx != nullptr) {
-    --ctx->live_token_delta;
-    ++ctx->stats.tokens_deleted;
-  } else {
-    --live_tokens_;
-    ++stats_.tokens_deleted;
+  DeletionScratch* s = ctx != nullptr ? &ctx->scratch : &scratch_;
+  // Newest child first, the order BulkDeleteTree walks children in.
+  const TokenArena& arena = t->owner->shard_->arena;
+  for (size_t i = t->children.size(); i-- > 0;) {
+    Token* c = arena.At(t->children[i]);
+    if (!c->dead) BulkDeleteTree(c, s);
   }
+  FlushDeletions(s);
 }
 
 void ReteMatcher::BulkDeleteTree(Token* t, DeletionScratch* s) {
   BetaNode* owner = t->owner;
   RuleShard* shard = owner->shard_;
-  // Children back-to-front, skipping ones an earlier tree already took —
-  // the exact order DeleteTokenTree's while(!empty()) back() pops them in
-  // (deletion only removes entries, never reorders, and nothing can be
-  // appended mid-teardown).
+  // Children back-to-front (newest first), skipping ones an earlier tree
+  // already took (deletion only dead-marks entries, never reorders them,
+  // and nothing can be appended mid-teardown).
   for (size_t i = t->children.size(); i-- > 0;) {
     Token* c = shard->arena.At(t->children[i]);
     if (!c->dead) BulkDeleteTree(c, s);
@@ -862,10 +634,9 @@ void ReteMatcher::BulkDeleteAnchored(RuleShard* shard, TimeTag tag,
                                      DeletionScratch* s) {
   auto it = shard->tokens_by_wme.find(tag);
   if (it == shard->tokens_by_wme.end()) return;
-  // Highest-index-first over the anchored roots, skipping tokens an
-  // earlier tree's cascade already killed — the same root sequence the
-  // per-token driver's while(!empty()) back() loop processes. The vector
-  // itself stays untouched until the entry is dropped whole below.
+  // Highest-index-first (newest first) over the anchored roots, skipping
+  // tokens an earlier tree's cascade already killed. The vector itself
+  // stays untouched until the entry is dropped whole below.
   auto& anchored = it->second.tokens;
   for (size_t i = anchored.size(); i-- > 0;) {
     Token* t = shard->arena.At(anchored[i]);
@@ -928,46 +699,6 @@ void ReteMatcher::CheckAnchorInvariants() const {
 #endif
 }
 
-void ReteMatcher::ParallelEval(
-    size_t n, const std::function<bool(size_t, ReteStats*)>& eval,
-    std::vector<char>* hits) {
-  hits->assign(n, 0);
-  // One slice per executing thread (workers + the forking caller), but
-  // never slices smaller than half the split threshold — tiny slices are
-  // pure dispatch overhead.
-  size_t max_slices = static_cast<size_t>(options_.pool->num_threads()) + 1;
-  size_t min_per_slice =
-      std::max<size_t>(1, static_cast<size_t>(options_.intra_split_min) / 2);
-  size_t slices = std::max<size_t>(
-      2, std::min(max_slices, (n + min_per_slice - 1) / min_per_slice));
-  size_t chunk = (n + slices - 1) / slices;
-  std::vector<ReteStats> slice_stats(slices);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(slices);
-  for (size_t s = 0; s < slices; ++s) {
-    size_t lo = s * chunk;
-    size_t hi = std::min(n, lo + chunk);
-    if (lo >= hi) break;
-    // Slices write disjoint hits[] ranges and their own stats accumulator;
-    // `eval` itself is pure, so no synchronization is needed beyond the
-    // RunAll join.
-    tasks.push_back([&eval, hits, &slice_stats, lo, hi, s] {
-      ReteStats* stats = &slice_stats[s];
-      for (size_t i = lo; i < hi; ++i) {
-        if (eval(i, stats)) (*hits)[i] = 1;
-      }
-    });
-  }
-  ReteStats& sink = stats_sink();
-  ++sink.intra_splits;
-  sink.intra_slice_tasks += tasks.size();
-  options_.pool->RunAll(std::move(tasks));
-  for (const ReteStats& s : slice_stats) {
-    sink.join_attempts += s.join_attempts;
-    sink.index_probes += s.index_probes;
-  }
-}
-
 AlphaMemory* ReteMatcher::GetOrCreateAlpha(const CompiledCondition& cond,
                                            const AlphaPattern* pattern) {
   auto& memories = alphas_by_class_[cond.cls];
@@ -984,7 +715,7 @@ AlphaMemory* ReteMatcher::GetOrCreateAlpha(const CompiledCondition& cond,
     owned_patterns_.push_back(AlphaPattern::FromCondition(cond));
     pattern = owned_patterns_.back().get();
   }
-  auto am = std::make_unique<AlphaMemory>(pattern, options_.soa_memories);
+  auto am = std::make_unique<AlphaMemory>(pattern);
   // Seed with the current working memory.
   for (const WmePtr& w : wm_->Snapshot()) {
     if (w->cls() == cond.cls && am->Accepts(*w)) {
@@ -1011,8 +742,6 @@ Status ReteMatcher::AddRule(const CompiledRule* rule) {
   auto shard = std::make_unique<RuleShard>();
   shard->rule = rule;
   shard->ordinal = shards_.size();
-  shard->arena.set_slab_size(
-      options_.token_slab < 0 ? 0 : static_cast<size_t>(options_.token_slab));
   // Build the linear beta chain.
   const std::vector<const AlphaPattern*>* bound =
       options_.topology != nullptr ? options_.topology->PatternsFor(rule)
@@ -1087,12 +816,14 @@ Status ReteMatcher::RemoveRule(const CompiledRule* rule) {
   std::unique_ptr<RuleShard> shard = std::move(it->second);
   rule_shards_.erase(it);
   // 1. Delete the chain's tokens. Every downstream token descends from a
-  //    first-node output, so deleting those roots cascades through the
-  //    whole chain (and notifies the sink for retracted instantiations).
+  //    first-node output, so deleting those roots (newest first; their
+  //    trees are disjoint) cascades through the whole chain and notifies
+  //    the sink for retracted instantiations.
   BetaNode* first = shard->chain.front();
-  while (!first->outputs_.empty()) {
-    DeleteTokenTree(shard->arena.At(first->outputs_.back()));
+  for (size_t i = first->outputs_.size(); i-- > 0;) {
+    BulkDeleteTree(shard->arena.At(first->outputs_[i]), &scratch_);
   }
+  FlushDeletions(&scratch_);
   // 2. Unhook from the shared alpha memories.
   for (BetaNode* node : shard->chain) {
     auto& succs = node->amem_->successors_;
@@ -1154,8 +885,15 @@ void ReteMatcher::ApplyRemove(const WmePtr& wme) {
       am->successors_[i]->RightActivate(wme, /*added=*/false);
     }
   }
-  // 3. Tree-delete every token anchored on this WME.
-  FinishRemove(wme);
+  // 3. Tree-delete every token anchored on this WME, shard by shard in
+  // registration order — the same order the parallel merge applies
+  // per-rule deletion ops in. Flush before returning: on the per-WME path
+  // (negative successors present) the next WME's unblock cascade scans
+  // output memories.
+  for (RuleShard* shard : shards_) {
+    BulkDeleteAnchored(shard, wme->time_tag(), &scratch_);
+  }
+  FlushDeletions(&scratch_);
   removing_tag_ = 0;
   wme_amems_.erase(wme->time_tag());
 }
@@ -1209,24 +947,17 @@ void ReteMatcher::ApplyRemoveRun(const std::vector<WmChange>& changes,
   exits.Commit();
   // Phase 2: per-WME token-tree deletion, batch order. (No negative
   // successors anywhere in the run, and JoinNode::RightActivate ignores
-  // removals, so the skipped right-activations are provably no-ops.)
-  if (options_.bulk_removal) {
-    // Defer the container compaction across the whole run: nothing between
-    // these deletions scans an output memory (no right-activations happen
-    // in this phase, and the tree walks themselves skip dead tokens), so
-    // one flush at the end suffices.
-    for (size_t i = begin; i < end; ++i) {
-      TimeTag tag = changes[i].wme->time_tag();
-      for (RuleShard* shard : shards_) BulkDeleteAnchored(shard, tag, &scratch_);
-      wme_amems_.erase(tag);
-    }
-    FlushDeletions(&scratch_);
-  } else {
-    for (size_t i = begin; i < end; ++i) {
-      FinishRemove(changes[i].wme);
-      wme_amems_.erase(changes[i].wme->time_tag());
-    }
+  // removals, so the skipped right-activations are provably no-ops.) The
+  // container compaction is deferred across the whole run: nothing between
+  // these deletions scans an output memory (no right-activations happen in
+  // this phase, and the tree walks themselves skip dead tokens), so one
+  // flush at the end suffices.
+  for (size_t i = begin; i < end; ++i) {
+    TimeTag tag = changes[i].wme->time_tag();
+    for (RuleShard* shard : shards_) BulkDeleteAnchored(shard, tag, &scratch_);
+    wme_amems_.erase(tag);
   }
+  FlushDeletions(&scratch_);
   ++stats_.grouped_removals;
 }
 
@@ -1246,29 +977,6 @@ void ReteMatcher::AlphaExitBatch::Commit() {
   }
   exits_.clear();
   order_.clear();
-}
-
-void ReteMatcher::FinishRemove(const WmePtr& wme) {
-  TimeTag tag = wme->time_tag();
-  // Shard by shard in registration order — the same order the parallel
-  // merge applies per-rule deletion ops in.
-  if (options_.bulk_removal) {
-    for (RuleShard* shard : shards_) BulkDeleteAnchored(shard, tag, &scratch_);
-    // Flush before returning: on the per-WME path (negative successors
-    // present) the next WME's unblock cascade scans output memories.
-    FlushDeletions(&scratch_);
-    return;
-  }
-  // Per-token path: deletions edit the anchored list in place (a token in
-  // the list can delete a descendant that is also in the list) and erase
-  // the entry when it drains, so re-find instead of holding an iterator.
-  for (RuleShard* shard : shards_) {
-    while (true) {
-      auto it = shard->tokens_by_wme.find(tag);
-      if (it == shard->tokens_by_wme.end()) break;
-      DeleteTokenTree(shard->arena.At(it->second.tokens.back()));
-    }
-  }
 }
 
 void ReteMatcher::OnBatch(const ChangeBatch& batch) {
@@ -1417,20 +1125,18 @@ void ReteMatcher::ReplayShard(RuleShard* shard,
                               ConflictSet::Delta* delta, ReplayCtx* ctx) {
   ctx->net = this;
   ctx->shard = shard;
-  // Save/restore rather than set/null: while this task waits on a slice
-  // fork it help-drains the pool queue, and can run *another* replay task
-  // (this matcher's or another matcher's) whose exit must put back this
-  // frame's thread-locals, not clear them.
+  // Save/restore rather than set/null, so a task run on a thread that
+  // already carries a context puts that context back on exit.
   ReplayCtx* prev_replay = tls_replay_;
   tls_replay_ = ctx;
   ConflictSet::ScopedThreadDelta scoped_delta(cs_, delta);
-  // Bulk removal defers container compaction across consecutive removal
+  // Token deletion defers container compaction across consecutive removal
   // changes — but only while no scan can observe a dead token: an add's
   // right-activations probe output memories, and a negative node's unblock
   // cascade does too, so those flush first. Shards with a negative node
-  // flush per change (the per-WME interleaving FinishRemove preserves).
-  DeletionScratch scratch;
-  const bool defer = options_.bulk_removal && !shard->has_negative;
+  // flush per change (the per-WME interleaving ApplyRemove preserves).
+  DeletionScratch& scratch = ctx->scratch;
+  const bool defer = !shard->has_negative;
   for (size_t e = 0; e < changes.size(); ++e) {
     const WmChange& c = changes[e];
     const ChangeRec& rec = plan[e];
@@ -1455,19 +1161,8 @@ void ReteMatcher::ReplayShard(RuleShard* shard,
       // Token-tree deletion for this removal, after its unblock cascade —
       // the same per-change interleaving as the sequential ApplyRemove.
       delta->SetStamp({static_cast<uint32_t>(e), 1, 0, 0});
-      if (options_.bulk_removal) {
-        BulkDeleteAnchored(shard, c.wme->time_tag(), &scratch);
-        if (!defer) FlushDeletions(&scratch);
-      } else {
-        // Per-token path; entries erase themselves when drained, so
-        // re-find instead of holding an iterator (see FinishRemove).
-        TimeTag tag = c.wme->time_tag();
-        while (true) {
-          auto it = shard->tokens_by_wme.find(tag);
-          if (it == shard->tokens_by_wme.end()) break;
-          DeleteTokenTree(shard->arena.At(it->second.tokens.back()));
-        }
-      }
+      BulkDeleteAnchored(shard, c.wme->time_tag(), &scratch);
+      if (!defer) FlushDeletions(&scratch);
     }
   }
   if (!scratch.empty()) FlushDeletions(&scratch);
@@ -1482,8 +1177,6 @@ void ReteMatcher::MergeCtx(ReplayCtx* ctx) {
   stats_.tokens_deleted += s.tokens_deleted;
   stats_.right_activations += s.right_activations;
   stats_.token_pool_hits += s.token_pool_hits;
-  stats_.intra_splits += s.intra_splits;
-  stats_.intra_slice_tasks += s.intra_slice_tasks;
   stats_.bulk_deletes += s.bulk_deletes;
   stats_.arena_slabs += s.arena_slabs;
   live_tokens_ = static_cast<size_t>(static_cast<int64_t>(live_tokens_) +

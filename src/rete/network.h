@@ -6,7 +6,6 @@
 #include <memory>
 #include <ostream>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -40,41 +39,11 @@ struct ReteOptions {
   /// sends are buffered per rule and merged deterministically, so the
   /// observable behavior stays bit-identical to the sequential path.
   ThreadPool* pool = nullptr;
-  /// Intra-rule parallelism threshold (0 disables). When a single join
-  /// scan — a right-activation probing one node's candidate tokens, a
-  /// left-activation probing an alpha memory, or a negative node's blocker
-  /// count — faces at least this many candidates, the pure join-test
-  /// evaluations fork into parallel slices on `pool`, and the matching
-  /// candidates are then applied (token creation, propagation, sink and
-  /// conflict-set sends) on the forking thread in exact scan order. Only
-  /// side-effect-free predicate evaluation leaves the owning thread, so
-  /// traces, conflict sets, and counters other than the split/slice stats
-  /// stay bit-identical to the unsplit path. Requires `pool`.
-  int intra_split_min = 0;
   /// Observability hooks (borrowed, may be null): the registry gets the
   /// rete.* counters as views (plus the matcher's reset hook); the tracer
   /// receives rule_replay events on the parallel batch path.
   obs::MetricRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
-  /// Tear down removal batches with bulk tree deletion: tokens are sink-
-  /// detached and dead-marked during the tree walk, then every touched
-  /// memory, sibling list, and anchor vector is compacted in one stable
-  /// pass per flush (see docs/INTERNALS.md, "Removal path & memory
-  /// layout"). Off restores the per-token erase(remove(...)) cascades —
-  /// the ablation baseline the removal property test cross-checks.
-  bool bulk_removal = true;
-  /// Tokens per slab in the per-shard token arenas; 0 allocates tokens
-  /// individually on the heap (ablation baseline) while keeping the
-  /// per-shard free lists.
-  int token_slab = static_cast<int>(TokenArena::kDefaultSlabSize);
-  /// Columnar (struct-of-arrays) alpha memories: items live in parallel
-  /// tag/WME/liveness columns (AlphaColumns) with hash indexes mapping join
-  /// keys to row-id lists, so join probes scan contiguous arrays and
-  /// removal tombstones compact in one stable pass. Off restores the
-  /// array-of-WmePtr layout — the ablation baseline; both layouts produce
-  /// bit-identical traces, conflict sets, and counters (pinned by
-  /// removal_property_test and the differential fuzzer).
-  bool soa_memories = true;
   /// Shared compiled topology (borrowed, may be null). When set — an Engine
   /// bound to a CompiledRuleBase — AddRule resolves each CE's alpha pattern
   /// by pointer out of the topology instead of copying tests into the
@@ -109,14 +78,9 @@ struct ReteStats {
   uint64_t parallel_batches = 0;
   /// Per-rule replay tasks dispatched across those batches.
   uint64_t replay_tasks = 0;
-  /// Join scans whose candidate set met ReteOptions::intra_split_min and
-  /// were evaluated as parallel slices (intra-rule parallelism).
-  uint64_t intra_splits = 0;
-  /// Slice tasks dispatched across those splits.
-  uint64_t intra_slice_tasks = 0;
-  /// Deferred-compaction flushes on the bulk removal path (one per removal
-  /// run / per-WME removal / shard-replay flush point; 0 with
-  /// ReteOptions::bulk_removal off).
+  /// Deferred-compaction flushes of the token-deletion routine (one per
+  /// removal run, per-WME removal, shard-replay flush point, negative-node
+  /// retract, or rule excise that deleted tokens).
   uint64_t bulk_deletes = 0;
   /// Fresh token slabs allocated across the per-shard arenas.
   uint64_t arena_slabs = 0;
@@ -150,8 +114,8 @@ struct RuleShard {
   /// Position in rule-registration order (index into ReteMatcher::shards_);
   /// the deterministic-merge tie-break across rules.
   size_t ordinal = 0;
-  /// One tokens_by_wme entry: the tokens anchored on a WME plus the bulk-
-  /// removal dirty flag (dead entries pending compaction). An entry exists
+  /// One tokens_by_wme entry: the tokens anchored on a WME plus the dirty
+  /// flag (dead entries pending compaction). An entry exists
   /// iff it holds tokens — eager erasure, checked by
   /// ReteMatcher::CheckAnchorInvariants in debug builds.
   struct AnchorList {
@@ -196,17 +160,13 @@ struct RuleShard {
 /// CompiledRuleBase's topology, or by the matcher when self-contained);
 /// the memory owns only the mutable per-session item storage.
 ///
-/// Two storage layouts (ReteOptions::soa_memories):
-///  - AoS (off): `items_`, a vector<WmePtr> erased in place on removal;
-///    index buckets own vector<WmePtr> copies.
-///  - SoA (on): `cols_`, parallel tag/WME/liveness columns with tombstoned
-///    removal and threshold-triggered stable compaction; index buckets map
-///    join keys to row-id lists over those columns, and each index keeps
-///    the join-key values it extracted per row as contiguous `Value`
-///    columns so compaction rebuilds buckets without dereferencing WMEs.
-/// Scans go through `Items()`/`Probe()`, which return layout-neutral
-/// AlphaSpans; live rows keep insertion order in both layouts, so every
-/// observable (traces, conflict sets, counters) is bit-identical.
+/// Items live in `cols_`, parallel tag/WME/liveness columns with tombstoned
+/// removal and threshold-triggered stable compaction. Index buckets map
+/// join keys to row-id lists over those columns, and each index keeps the
+/// join-key values it extracted per row as contiguous `Value` columns, so
+/// compaction rebuilds buckets without dereferencing WMEs. Scans go
+/// through `Items()`/`Probe()`, which return AlphaSpans; live rows keep
+/// insertion order.
 class AlphaMemory {
  public:
   /// Hash index over the memory's items keyed by a field-value tuple;
@@ -215,28 +175,14 @@ class AlphaMemory {
   /// linear scan of the memory.
   class Index {
    public:
-    Index(std::vector<int> fields, bool soa)
-        : fields_(std::move(fields)), soa_(soa) {
-      if (soa_) key_cols_.resize(fields_.size());
-    }
+    explicit Index(std::vector<int> fields)
+        : fields_(std::move(fields)), key_cols_(fields_.size()) {}
 
-    JoinKey KeyOf(const Wme& wme) const;
     const std::vector<int>& fields() const { return fields_; }
 
    private:
     friend class AlphaMemory;
 
-    // --- AoS mode ---
-    /// The bucket for `key`, or nullptr if empty.
-    const std::vector<WmePtr>* Find(const JoinKey& key) const;
-    void Insert(const WmePtr& wme);
-    void Remove(const WmePtr& wme);
-    /// Removes every WME in `wmes` (also given as a pointer set in
-    /// `victims`), compacting each touched bucket once.
-    void RemoveBatch(const std::vector<WmePtr>& wmes,
-                     const std::unordered_set<const Wme*>& victims);
-
-    // --- SoA mode ---
     /// The row-id bucket for `key`, or nullptr; may contain dead rows
     /// (callers filter with AlphaColumns::IsLive).
     const std::vector<uint32_t>* FindRows(const JoinKey& key) const;
@@ -252,8 +198,6 @@ class AlphaMemory {
     void Rekey(const std::vector<uint32_t>& remap, size_t new_rows);
 
     std::vector<int> fields_;
-    bool soa_ = false;
-    std::unordered_map<JoinKey, std::vector<WmePtr>, JoinKeyHash> buckets_;
     std::unordered_map<JoinKey, std::vector<uint32_t>, JoinKeyHash>
         row_buckets_;
     /// One pre-extracted `Value` column per indexed field, row-aligned
@@ -261,7 +205,7 @@ class AlphaMemory {
     std::vector<std::vector<Value>> key_cols_;
   };
 
-  AlphaMemory(const AlphaPattern* pattern, bool soa);
+  explicit AlphaMemory(const AlphaPattern* pattern) : pattern_(pattern) {}
 
   /// True if `wme` (already of the right class) passes all tests.
   bool Accepts(const Wme& wme) const { return pattern_->Accepts(wme); }
@@ -278,25 +222,21 @@ class AlphaMemory {
   /// items) if absent.
   Index* GetOrCreateIndex(const std::vector<int>& fields);
 
-  /// Layout-neutral view of every item (SoA spans include tombstoned rows;
-  /// scan loops filter with AlphaSpan::Live).
-  AlphaSpan Items() const {
-    return soa_ ? AlphaSpan(&cols_, nullptr) : AlphaSpan(&items_);
-  }
-  /// Layout-neutral view of `index`'s bucket for `key` (empty span if the
-  /// bucket does not exist).
+  /// View of every row, tombstoned ones included (scan loops filter with
+  /// AlphaSpan::Live).
+  AlphaSpan Items() const { return AlphaSpan(&cols_, nullptr); }
+  /// View of `index`'s bucket for `key` (empty span if the bucket does not
+  /// exist).
   AlphaSpan Probe(const Index* index, const JoinKey& key) const;
-  /// Live item count (identical across layouts).
-  size_t num_items() const { return soa_ ? cols_.live() : items_.size(); }
+  /// Live item count.
+  size_t num_items() const { return cols_.live(); }
   /// Copies the live items, in insertion order, into `out`.
   void SnapshotItems(std::vector<WmePtr>* out) const;
 
   SymbolId cls() const { return pattern_->cls; }
   size_t num_indexes() const { return indexes_.size(); }
-  bool columnar() const { return soa_; }
-  /// Bytes held by the item storage and indexes (the `rete.alpha_bytes`
-  /// gauge; AoS counts items_ + bucket copies, SoA the columns + row
-  /// buckets + key columns).
+  /// Bytes held by the columns, row buckets and key columns (the
+  /// `rete.alpha_bytes` gauge).
   size_t MemoryBytes() const;
 
  private:
@@ -304,24 +244,19 @@ class AlphaMemory {
 
   /// Appends an item, keeping every index in sync.
   void AddItem(const WmePtr& wme);
-  /// Removes an item (stable order in AoS, tombstone in SoA), returning
-  /// whether it was present — callers assert presence, the
-  /// exactly-once-per-batch discipline.
+  /// Tombstones an item, returning whether it was present — callers assert
+  /// presence, the exactly-once-per-batch discipline.
   bool RemoveItem(const WmePtr& wme);
-  /// Removes every WME in `wmes` in one pass (AoS: one stable compaction
-  /// of the items and each touched bucket; SoA: tombstones), returning how
-  /// many were found.
+  /// Tombstones every WME in `wmes`, returning how many were found.
   size_t RemoveItems(const std::vector<WmePtr>& wmes);
-  /// SoA: runs a compaction pass (columns + every index) once enough
-  /// tombstones accumulate. Callers must not hold row ids across it.
+  /// Runs a compaction pass (columns + every index) once enough tombstones
+  /// accumulate. Callers must not hold row ids across it.
   void MaybeCompact();
 
   /// Borrowed immutable test signature; outlives the memory (owned by the
   /// shared rule base's topology or by the matcher's owned_patterns_).
   const AlphaPattern* pattern_;
-  bool soa_ = false;
-  std::vector<WmePtr> items_;  // AoS layout
-  AlphaColumns cols_;          // SoA layout
+  AlphaColumns cols_;
   std::vector<uint32_t> remap_scratch_;
   std::vector<std::unique_ptr<Index>> indexes_;
   /// Right-activation targets, newest-first (Doorenbos's ordering, which
@@ -341,13 +276,10 @@ class BetaNode {
   virtual void OnParentToken(Token* t) = 0;
   /// `wme` was added to / removed from this node's alpha memory.
   virtual void RightActivate(const WmePtr& wme, bool added) = 0;
-  /// Called by per-token deletion; detaches `t` and compacts it out of the
-  /// output memory immediately.
-  void OnOwnedTokenDeleted(Token* t);
   /// The detach half of token deletion: unindexes `t`, updates node-local
   /// state, and notifies the sink if `t` had reached it — without touching
-  /// `outputs_`, whose compaction the bulk removal path defers to one
-  /// stable pass per flush (ReteMatcher::FlushDeletions).
+  /// `outputs_`, whose compaction token deletion defers to one stable pass
+  /// per flush (ReteMatcher::FlushDeletions).
   virtual void DetachToken(Token* t) = 0;
   /// Called by the matcher right after `t` entered this node's output
   /// memory; maintains the node-specific token indexes.
@@ -418,8 +350,8 @@ class BetaNode {
   /// Current position in amem_->successors_ (maintained by the matcher on
   /// rule add/remove); the within-alpha-memory merge tie-break.
   int succ_ordinal_ = 0;
-  /// Bulk removal: `outputs_` holds dead tokens pending compaction (the
-  /// node is already queued in the current DeletionScratch).
+  /// `outputs_` holds dead tokens pending compaction (the node is already
+  /// queued in the current DeletionScratch).
   bool compact_pending_ = false;
 
   // --- indexed-join state (unused when !indexed_) ---
@@ -532,7 +464,9 @@ class ReteMatcher : public Matcher {
 
   // --- token management (used by beta nodes) ---
   Token* NewToken(BetaNode* owner, Token* parent, WmePtr wme);
-  void DeleteTokenTree(Token* t);
+  /// Deletes every child subtree of `t` and flushes — a negative node's
+  /// retract when its token gains a blocker.
+  void DeleteChildren(Token* t);
 
   // --- introspection for tests and benches ---
   /// Prints the network topology: alpha memories (class, tests, items,
@@ -553,6 +487,24 @@ class ReteMatcher : public Matcher {
   friend class JoinNode;
   friend class NegativeNode;
 
+  /// One in-progress token deletion: the dead tokens awaiting recycle plus
+  /// every container that needs exactly one stable compaction pass.
+  /// Sequential paths reuse the matcher's `scratch_`; each replay task keeps
+  /// its own in its ReplayCtx (it only ever names per-shard state, so no
+  /// synchronization).
+  struct DeletionScratch {
+    std::vector<Token*> dead;
+    /// Nodes whose outputs_ hold dead entries (compact_pending_ set).
+    std::vector<BetaNode*> dirty_nodes;
+    /// Live parents whose children vector holds dead entries, paired with
+    /// the arena those child ids resolve against (the dead children's
+    /// shard; the parent itself may be the arena-less shard root).
+    std::vector<std::pair<TokenArena*, Token*>> dirty_parents;
+    /// tokens_by_wme entries holding dead entries (AnchorList::dirty set).
+    std::vector<std::pair<RuleShard*, TimeTag>> dirty_anchors;
+    bool empty() const { return dead.empty(); }
+  };
+
   /// Per-task replay state, installed in `tls_replay_` while a shard task
   /// runs. Everything a worker would otherwise write to shared matcher
   /// state (counters, live-token accounting) accumulates here and is
@@ -572,6 +524,8 @@ class ReteMatcher : public Matcher {
     /// Time tag of the removal change being replayed (0 for adds) — the
     /// replay-task counterpart of ReteMatcher::removing_tag_.
     TimeTag removing_tag = 0;
+    /// The task's token-deletion scratch (the counterpart of scratch_).
+    DeletionScratch scratch;
   };
 
   /// One batch change's replay plan (phase A output).
@@ -583,24 +537,6 @@ class ReteMatcher : public Matcher {
     /// tag-monotone within a batch, so a ceiling encodes add visibility).
     TimeTag prev_ceiling = 0;
     TimeTag ceiling = 0;
-  };
-
-  /// One in-progress bulk deletion (ReteOptions::bulk_removal): the dead
-  /// tokens awaiting recycle plus every container that needs exactly one
-  /// stable compaction pass. Sequential paths reuse the matcher's
-  /// `scratch_`; each replay task keeps its own (it only ever names
-  /// per-shard state, so no synchronization).
-  struct DeletionScratch {
-    std::vector<Token*> dead;
-    /// Nodes whose outputs_ hold dead entries (compact_pending_ set).
-    std::vector<BetaNode*> dirty_nodes;
-    /// Live parents whose children vector holds dead entries, paired with
-    /// the arena those child ids resolve against (the dead children's
-    /// shard; the parent itself may be the arena-less shard root).
-    std::vector<std::pair<TokenArena*, Token*>> dirty_parents;
-    /// tokens_by_wme entries holding dead entries (AnchorList::dirty set).
-    std::vector<std::pair<RuleShard*, TimeTag>> dirty_anchors;
-    bool empty() const { return dead.empty(); }
   };
 
   /// One removal batch's grouped alpha exits: victims collected per
@@ -626,9 +562,7 @@ class ReteMatcher : public Matcher {
   }
 
   /// The replay context installed on this thread for *this* matcher, or
-  /// nullptr (sequential paths). Slice-scan forks capture it explicitly:
-  /// a pool worker executing a slice task has its own thread-locals, not
-  /// the forking replay's.
+  /// nullptr (sequential paths).
   ReplayCtx* CurrentReplayCtx() const {
     ReplayCtx* ctx = tls_replay_;
     return (ctx != nullptr && ctx->net == this) ? ctx : nullptr;
@@ -638,10 +572,9 @@ class ReteMatcher : public Matcher {
   /// storage — is visible to the replay `ctx` at its current change.
   /// Callers outside a replay (ctx == nullptr) skip the call entirely:
   /// everything physically live is visible. Pure: reads only the context
-  /// and `replay_removed_`, which is frozen during phase B — safe from
-  /// concurrent slice tasks. Keyed by tag (unique per WME) so columnar
-  /// scans check visibility from the contiguous tag column without
-  /// touching the WME.
+  /// and `replay_removed_`, which is frozen during phase B. Keyed by tag
+  /// (unique per WME) so scans check visibility from the contiguous tag
+  /// column without touching the WME.
   bool ReplayVisibleTag(TimeTag tag, const AlphaMemory* amem,
                         const ReplayCtx* ctx) const {
     if (tag > ctx->add_ceiling) return false;  // added later in the batch
@@ -666,24 +599,6 @@ class ReteMatcher : public Matcher {
     return true;
   }
 
-  /// True when a join scan over `candidates` qualifies for slice-parallel
-  /// evaluation (ReteOptions::intra_split_min reached and a pool exists).
-  bool ShouldSplit(size_t candidates) const {
-    return options_.intra_split_min > 0 && options_.pool != nullptr &&
-           candidates >= static_cast<size_t>(options_.intra_split_min);
-  }
-
-  /// Intra-rule slice fork/join: evaluates `eval(i, slice_stats)` for every
-  /// i in [0, n) across parallel slice tasks and records each outcome in
-  /// `(*hits)[i]`. `eval` must be pure with respect to matcher state — join
-  /// tests and visibility checks only; the caller then applies the hits
-  /// (token creation, propagation, conflict-set sends) serially in scan
-  /// order, which keeps observable behavior bit-identical to the unsplit
-  /// scan. Per-slice stats merge into the calling thread's stats sink.
-  void ParallelEval(size_t n,
-                    const std::function<bool(size_t, ReteStats*)>& eval,
-                    std::vector<char>* hits);
-
   /// The alpha memory for `cond`, creating it if absent. `pattern` is the
   /// shared topology's assignment for this CE (pointer-identity lookup) or
   /// null for self-contained matchers, which dedup structurally and own the
@@ -699,14 +614,11 @@ class ReteMatcher : public Matcher {
   /// per-WME ApplyRemove when a touched alpha has a negative successor.
   void ApplyRemoveRun(const std::vector<WmChange>& changes, size_t begin,
                       size_t end);
-  /// Token-tree deletion half of a removal (after the alpha exits): deletes
-  /// the WME's anchored tokens shard by shard in registration order.
-  void FinishRemove(const WmePtr& wme);
 
-  // --- bulk tree deletion (ReteOptions::bulk_removal) ---
-  /// Recursively detaches `t`'s subtree: sinks are notified in the exact
-  /// per-token deletion order, tokens are dead-marked, and every touched
-  /// container is queued in `s` for one deferred compaction pass.
+  // --- token deletion ---
+  /// Recursively detaches `t`'s subtree, children newest first (sinks hear
+  /// the retractions in that order), dead-marks its tokens, and queues
+  /// every touched container in `s` for one deferred compaction pass.
   void BulkDeleteTree(Token* t, DeletionScratch* s);
   /// BulkDeleteTree over every tree anchored on `tag` in `shard`, erasing
   /// the anchor entry.
@@ -758,7 +670,7 @@ class ReteMatcher : public Matcher {
   /// until phase C; ReplayVisibleTag hides them from later epochs.
   std::unordered_map<TimeTag, size_t> replay_removed_;
   size_t live_tokens_ = 0;
-  /// Bulk-deletion scratch of the sequential paths (reused across flushes
+  /// Token-deletion scratch of the sequential paths (reused across flushes
   /// to keep its vectors' capacity warm).
   DeletionScratch scratch_;
   /// Time tag of the removal the sequential path is currently applying

@@ -33,17 +33,6 @@ void TokenRow(const Token* t, Row* out) {
   }
 }
 
-TokenArena::~TokenArena() {
-  // Slab tokens are destroyed by the unique_ptr<Token[]> deleters (running
-  // ~Token releases any WmePtr a live token still holds); heap-mode tokens
-  // are tracked in heap_ exactly once each, live or recycled.
-  for (Token* t : heap_) delete t;
-}
-
-void TokenArena::set_slab_size(size_t n) {
-  if (slabs_.empty() && heap_.empty()) slab_size_ = n;
-}
-
 Token* TokenArena::Alloc(bool* pool_hit, bool* new_slab) {
   *new_slab = false;
   if (!free_.empty()) {
@@ -53,19 +42,13 @@ Token* TokenArena::Alloc(bool* pool_hit, bool* new_slab) {
     return t;
   }
   *pool_hit = false;
-  if (slab_size_ == 0) {
-    Token* t = new Token;
-    t->self = static_cast<TokenId>(heap_.size());
-    heap_.push_back(t);
-    return t;
-  }
-  if (slabs_.empty() || used_in_last_ == slab_size_) {
-    slabs_.push_back(std::make_unique<Token[]>(slab_size_));
+  if (slabs_.empty() || used_in_last_ == kSlabSize) {
+    slabs_.push_back(std::make_unique<Token[]>(kSlabSize));
     used_in_last_ = 0;
     *new_slab = true;
   }
   Token* t = &slabs_.back()[used_in_last_];
-  t->self = static_cast<TokenId>((slabs_.size() - 1) * slab_size_ +
+  t->self = static_cast<TokenId>((slabs_.size() - 1) * kSlabSize +
                                  used_in_last_);
   ++used_in_last_;
   return t;

@@ -46,11 +46,11 @@ struct Token {
   TimeTag born_of_removal = 0;
   /// Negative-node tokens: whether currently propagated downstream.
   bool propagated = false;
-  /// Bulk removal: set between the detach/notify step and the deferred
-  /// container compaction (ReteMatcher::FlushDeletions); never set outside
-  /// an in-progress removal batch.
+  /// Set between the detach/notify step and the deferred container
+  /// compaction (ReteMatcher::FlushDeletions); never set outside an
+  /// in-progress deletion.
   bool dead = false;
-  /// Bulk removal: `children` holds dead entries pending compaction.
+  /// `children` holds dead entries pending compaction.
   bool children_dirty = false;
 };
 
@@ -64,18 +64,11 @@ struct Token {
 /// `~ReteMatcher` bulk teardown).
 class TokenArena {
  public:
-  static constexpr size_t kDefaultSlabSize = 256;
+  static constexpr size_t kSlabSize = 256;
 
   TokenArena() = default;
-  ~TokenArena();
   TokenArena(const TokenArena&) = delete;
   TokenArena& operator=(const TokenArena&) = delete;
-
-  /// Tokens per slab; 0 allocates each token individually on the heap (the
-  /// ablation baseline) while keeping the free list and whole-arena
-  /// teardown. Must be called before the first Alloc; later calls are
-  /// ignored.
-  void set_slab_size(size_t n);
 
   /// Returns a default-initialized token. `*pool_hit` reports a free-list
   /// reuse, `*new_slab` that a fresh slab had to be allocated.
@@ -86,34 +79,25 @@ class TokenArena {
   /// arena either way. `self` survives recycling.
   void Recycle(Token* t) { free_.push_back(t); }
 
-  /// Resolves an arena index back to its token. O(1): slab mode divides by
-  /// the slab size, heap mode indexes the tracking vector.
+  /// Resolves an arena index back to its token.
   Token* At(TokenId id) const {
-    if (slab_size_ == 0) return heap_[id];
-    return slabs_[id / slab_size_].get() + (id % slab_size_);
+    return slabs_[id / kSlabSize].get() + (id % kSlabSize);
   }
 
   size_t free_size() const { return free_.size(); }
   size_t num_slabs() const { return slabs_.size(); }
 
-  /// Bytes held by slabs / heap tokens / the free list — the
-  /// `rete.token_arena_bytes` gauge. Slab mode counts whole slabs
-  /// (allocated capacity, not just carved tokens).
+  /// Bytes held by the slabs and the free list — the
+  /// `rete.token_arena_bytes` gauge. Counts whole slabs (allocated
+  /// capacity, not just carved tokens).
   size_t MemoryBytes() const {
-    size_t bytes = free_.capacity() * sizeof(Token*);
-    if (slab_size_ == 0) {
-      bytes += heap_.size() * sizeof(Token) + heap_.capacity() * sizeof(Token*);
-    } else {
-      bytes += slabs_.size() * slab_size_ * sizeof(Token);
-    }
-    return bytes;
+    return free_.capacity() * sizeof(Token*) +
+           slabs_.size() * kSlabSize * sizeof(Token);
   }
 
  private:
-  size_t slab_size_ = kDefaultSlabSize;
   std::vector<std::unique_ptr<Token[]>> slabs_;
   size_t used_in_last_ = 0;  // tokens handed out of slabs_.back()
-  std::vector<Token*> heap_;  // slab_size_ == 0: every token ever allocated
   std::vector<Token*> free_;
 };
 

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace sorel {
 namespace server {
@@ -212,6 +213,11 @@ Result<WalEntry> DecodeEntry(std::string_view payload, SymbolTable* symbols) {
   if (type == "run") {
     entry.kind = WalEntry::Kind::kRun;
     SOREL_ASSIGN_OR_RETURN(int64_t max, MemberInt(doc, "max"));
+    if (max < std::numeric_limits<int>::min() ||
+        max > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument("codec: run max " + std::to_string(max) +
+                                     " is out of int range");
+    }
     entry.max_firings = static_cast<int>(max);
     return entry;
   }

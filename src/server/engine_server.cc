@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -54,6 +55,27 @@ Result<std::string> ArgString(const obs::JsonValue& req,
                                    std::string(key) + "'");
   }
   return v->string;
+}
+
+/// An optional integral number argument of `cmd`. Absent leaves `*out`
+/// untouched; a non-number, a non-integral value, or one outside int's
+/// range is InvalidArgument, never a narrowing cast.
+Status ArgInt(const obs::JsonValue& req, std::string_view cmd,
+              std::string_view key, int* out) {
+  const obs::JsonValue* v = req.Find(key);
+  if (v == nullptr) return Status::Ok();
+  std::string what = std::string(cmd) + ": '" + std::string(key) + "'";
+  if (!v->is_number()) {
+    return Status::InvalidArgument(what + " must be a number");
+  }
+  double d = v->number;
+  if (!(d >= std::numeric_limits<int>::min() &&
+        d <= std::numeric_limits<int>::max()) ||
+      d != std::floor(d)) {
+    return Status::InvalidArgument(what + " must be an integer in int range");
+  }
+  *out = static_cast<int>(d);
+  return Status::Ok();
 }
 
 /// A protocol time tag: a decimal string (exact) or a JSON number.
@@ -292,20 +314,16 @@ std::string EngineServer::CmdOpen(const obs::JsonValue& req) {
     if (!strat.ok()) return ErrorLine(strat.status());
     sopts.strategy = *strat;
   }
-  if (const obs::JsonValue* t = req.Find("threads")) {
-    if (!t->is_number()) {
-      return ErrorLine(Status::InvalidArgument("open: 'threads' must be "
-                                               "a number"));
-    }
-    sopts.match_threads = static_cast<int>(t->number);
+  Status threads = ArgInt(req, "open", "threads", &sopts.match_threads);
+  if (!threads.ok()) return ErrorLine(threads);
+  if (sopts.match_threads > kMaxSessionThreads) {
+    return ErrorLine(Status::InvalidArgument(
+        "open: 'threads' must be at most " +
+        std::to_string(kMaxSessionThreads)));
   }
-  if (const obs::JsonValue* f = req.Find("fsync_every")) {
-    if (!f->is_number()) {
-      return ErrorLine(Status::InvalidArgument("open: 'fsync_every' must "
-                                               "be a number"));
-    }
-    sopts.fsync_every = static_cast<int>(f->number);
-  }
+  // A value below 1 is accepted; the WAL writer clamps it to 1.
+  Status fsync = ArgInt(req, "open", "fsync_every", &sopts.fsync_every);
+  if (!fsync.ok()) return ErrorLine(fsync);
   if (const obs::JsonValue* t = req.Find("trace")) {
     sopts.capture_trace = t->kind == obs::JsonValue::Kind::kBool &&
                           t->boolean;
@@ -497,14 +515,9 @@ std::string EngineServer::HandleLine(std::string_view line) {
   }
 
   if (*cmd == "run") {
-    int max = -1;
-    if (const obs::JsonValue* m = req.Find("max")) {
-      if (!m->is_number()) {
-        return ErrorLine(Status::InvalidArgument("run: 'max' must be a "
-                                                 "number"));
-      }
-      max = static_cast<int>(m->number);
-    }
+    int max = -1;  // any negative value: unlimited
+    Status max_ok = ArgInt(req, "run", "max", &max);
+    if (!max_ok.ok()) return ErrorLine(max_ok);
     Result<int> fired = session->Run(max);
     if (!fired.ok()) return ErrorLine(fired.status());
     std::string out = "{\"ok\":true,\"fired\":" + std::to_string(*fired);

@@ -22,6 +22,9 @@ struct JsonValue;
 
 namespace server {
 
+/// Largest match worker pool one session may ask for (`open`'s `threads`).
+inline constexpr int kMaxSessionThreads = 64;
+
 struct EngineServerOptions {
   /// Directory holding per-session WAL and snapshot files (created if
   /// missing).

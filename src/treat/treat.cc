@@ -57,45 +57,30 @@ class TreatMatcher::TreatInst : public InstantiationRef {
   Row row_;
 };
 
-/// One per-rule, per-CE alpha memory. In columnar (`soa`) mode the WME
-/// column carries a parallel time-tag column, so the removal passes scan
-/// contiguous integers instead of dereferencing a WME per item; erasures
-/// compact eagerly (no tombstones), keeping sizes, iteration order, and
-/// first-CE slice bounds byte-identical to the plain vector layout. The
-/// tuple-mode (AoS) layout is the ablation baseline.
+/// One per-rule, per-CE alpha memory: the WME column plus a parallel
+/// time-tag column, so the removal passes scan contiguous integers instead
+/// of dereferencing a WME per item. Erasures compact eagerly (no
+/// tombstones), so sizes, iteration order, and first-CE slice bounds follow
+/// insertion order.
 class TreatMatcher::TreatAlpha {
  public:
-  explicit TreatAlpha(bool soa) : soa_(soa) {}
-
   size_t size() const { return wmes_.size(); }
   const WmePtr& operator[](size_t i) const { return wmes_[i]; }
   std::vector<WmePtr>::const_iterator begin() const { return wmes_.begin(); }
   std::vector<WmePtr>::const_iterator end() const { return wmes_.end(); }
 
   void Append(const WmePtr& w) {
-    if (soa_) tags_.push_back(w->time_tag());
+    tags_.push_back(w->time_tag());
     wmes_.push_back(w);
   }
 
-  /// Erases the item holding `w`; returns false if absent. Columnar mode
-  /// finds it by scanning the tag column (tags are unique per WME, so this
-  /// matches the pointer-equality find of the tuple layout).
+  /// Erases the item holding `w` (found by its time tag, unique per WME);
+  /// returns false if absent.
   bool Remove(const Wme& w) {
-    size_t i;
-    if (soa_) {
-      const TimeTag tag = w.time_tag();
-      for (i = 0; i < tags_.size(); ++i) {
-        if (tags_[i] == tag) break;
-      }
-      if (i == tags_.size()) return false;
-      tags_.erase(tags_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      for (i = 0; i < wmes_.size(); ++i) {
-        if (wmes_[i].get() == &w) break;
-      }
-      if (i == wmes_.size()) return false;
-    }
-    wmes_.erase(wmes_.begin() + static_cast<std::ptrdiff_t>(i));
+    auto it = std::find(tags_.begin(), tags_.end(), w.time_tag());
+    if (it == tags_.end()) return false;
+    wmes_.erase(wmes_.begin() + (it - tags_.begin()));
+    tags_.erase(it);
     return true;
   }
 
@@ -107,18 +92,18 @@ class TreatMatcher::TreatAlpha {
     const size_t n = wmes_.size();
     size_t out = 0;
     for (size_t i = 0; i < n; ++i) {
-      const TimeTag tag = soa_ ? tags_[i] : wmes_[i]->time_tag();
+      const TimeTag tag = tags_[i];
       if (victims.count(tag) != 0) {
         hit(tag);
         continue;
       }
       if (out != i) {
-        if (soa_) tags_[out] = tags_[i];
+        tags_[out] = tag;
         wmes_[out] = std::move(wmes_[i]);
       }
       ++out;
     }
-    if (soa_) tags_.resize(out);
+    tags_.resize(out);
     wmes_.resize(out);
     ShrinkIfSlack();
     return n - out;
@@ -139,9 +124,8 @@ class TreatMatcher::TreatAlpha {
     }
   }
 
-  bool soa_;
   std::vector<WmePtr> wmes_;
-  std::vector<TimeTag> tags_;  // parallel to wmes_; empty in tuple mode
+  std::vector<TimeTag> tags_;  // parallel to wmes_
 };
 
 struct TreatMatcher::RuleState {
@@ -157,11 +141,10 @@ struct TreatMatcher::RuleState {
 };
 
 TreatMatcher::TreatMatcher(WorkingMemory* wm, ConflictSet* cs,
-                           ThreadPool* pool, int intra_split_min,
-                           obs::MetricRegistry* metrics, obs::Tracer* tracer,
-                           bool soa_memories)
-    : wm_(wm), cs_(cs), pool_(pool), intra_split_min_(intra_split_min),
-      soa_memories_(soa_memories), metrics_(metrics), tracer_(tracer) {
+                           ThreadPool* pool, int split_min_rows,
+                           obs::MetricRegistry* metrics, obs::Tracer* tracer)
+    : wm_(wm), cs_(cs), pool_(pool), split_min_rows_(split_min_rows),
+      metrics_(metrics), tracer_(tracer) {
   wm_->AddListener(this);
   if (metrics_ != nullptr) {
     metrics_->RegisterGauge(this, "treat.alpha_bytes", [this] {
@@ -205,7 +188,7 @@ Status TreatMatcher::AddRule(const CompiledRule* rule) {
   }
   auto rs = std::make_unique<RuleState>();
   rs->rule = rule;
-  rs->alpha.assign(rule->conditions.size(), TreatAlpha(soa_memories_));
+  rs->alpha.resize(rule->conditions.size());
   for (const WmePtr& w : wm_->Snapshot()) {
     for (size_t ce = 0; ce < rule->conditions.size(); ++ce) {
       const CompiledCondition& cond = rule->conditions[ce];
@@ -313,8 +296,8 @@ void TreatMatcher::SearchAll(RuleState* rs, Stats* stats) {
   }
   size_t n =
       first_pos < 0 ? 0 : rs->alpha[static_cast<size_t>(first_pos)].size();
-  if (pool_ != nullptr && intra_split_min_ > 0 &&
-      n >= static_cast<size_t>(intra_split_min_)) {
+  if (pool_ != nullptr && split_min_rows_ > 0 &&
+      n >= static_cast<size_t>(split_min_rows_)) {
     // Intra-rule split: fork the first-CE scan into slices that run the
     // pure join search into private row buffers (alpha memories and the
     // rule are frozen for the duration — slices touch no shared state).
@@ -323,7 +306,7 @@ void TreatMatcher::SearchAll(RuleState* rs, Stats* stats) {
     // are bit-identical to the unsplit search.
     size_t max_slices = static_cast<size_t>(pool_->num_threads()) + 1;
     size_t min_per_slice =
-        std::max<size_t>(1, static_cast<size_t>(intra_split_min_) / 2);
+        std::max<size_t>(1, static_cast<size_t>(split_min_rows_) / 2);
     size_t slices = std::max<size_t>(
         2, std::min(max_slices, (n + min_per_slice - 1) / min_per_slice));
     size_t chunk = (n + slices - 1) / slices;

@@ -53,7 +53,7 @@ class TreatMatcher : public Matcher {
   /// every rule's state (alpha memories, instantiations) is private to it,
   /// so each touched rule replays the whole batch as one worker task, with
   /// conflict-set sends buffered and merged in the sequential order.
-  /// `intra_split_min` (0 disables) additionally forks a full search's
+  /// `split_min_rows` (0 disables) additionally forks a full search's
   /// first-CE scan into parallel slices when that alpha memory holds at
   /// least this many WMEs: slices run the pure join search into private row
   /// buffers, and emission (dedup + conflict-set sends) happens serially in
@@ -62,13 +62,10 @@ class TreatMatcher : public Matcher {
   /// `metrics` / `tracer` (borrowed, may be null) hook the matcher into
   /// the observability layer: treat.* counters register as registry views
   /// and the parallel batch path emits per-rule rule_replay events.
-  /// `soa_memories` selects the columnar alpha layout (a parallel time-tag
-  /// column beside the WME column, so removal passes scan contiguous tags);
-  /// off keeps the plain WME-pointer vectors as the ablation baseline.
   TreatMatcher(WorkingMemory* wm, ConflictSet* cs, ThreadPool* pool = nullptr,
-               int intra_split_min = 0,
+               int split_min_rows = 0,
                obs::MetricRegistry* metrics = nullptr,
-               obs::Tracer* tracer = nullptr, bool soa_memories = true);
+               obs::Tracer* tracer = nullptr);
   ~TreatMatcher() override;
 
   TreatMatcher(const TreatMatcher&) = delete;
@@ -145,8 +142,7 @@ class TreatMatcher : public Matcher {
   WorkingMemory* wm_;
   ConflictSet* cs_;
   ThreadPool* pool_;
-  int intra_split_min_;
-  bool soa_memories_;
+  int split_min_rows_;
   obs::MetricRegistry* metrics_ = nullptr;  // borrowed; may be null
   obs::Tracer* tracer_ = nullptr;           // borrowed; may be null
   obs::Timer* match_timer_ = nullptr;       // non-null when timing enabled

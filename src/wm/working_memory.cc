@@ -4,7 +4,7 @@
 #include <string>
 
 #include "wm/wme.h"
-#include "wm/wme_arena.h"
+#include "wm/wme_pool.h"
 
 namespace sorel {
 
@@ -25,22 +25,18 @@ std::string Wme::ToString(const SymbolTable& symbols,
 
 WorkingMemory::WorkingMemory(const SchemaRegistry* schemas,
                              const SymbolTable* symbols,
-                             obs::MetricRegistry* metrics, obs::Tracer* tracer,
-                             bool slab_wmes)
+                             obs::MetricRegistry* metrics, obs::Tracer* tracer)
     : schemas_(schemas), symbols_(symbols), metrics_(metrics),
-      tracer_(tracer) {
-  if (slab_wmes) wme_pool_ = std::make_shared<WmeBlockPool>();
+      tracer_(tracer), wme_pool_(std::make_shared<WmeBlockPool>()) {
   if (metrics_ == nullptr) return;
-  if (wme_pool_ != nullptr) {
-    metrics_->RegisterCounter(this, "wm.wme_pool_hits", [this] {
-      return wme_pool_->stats().pool_hits;
-    });
-    metrics_->RegisterCounter(
-        this, "wm.wme_slabs", [this] { return wme_pool_->stats().slabs; });
-    metrics_->RegisterGauge(this, "wm.arena_bytes", [this] {
-      return static_cast<double>(wme_pool_->bytes_held());
-    });
-  }
+  metrics_->RegisterCounter(this, "wm.wme_pool_hits", [this] {
+    return wme_pool_->stats().pool_hits;
+  });
+  metrics_->RegisterCounter(
+      this, "wm.wme_slabs", [this] { return wme_pool_->stats().slabs; });
+  metrics_->RegisterGauge(this, "wm.arena_bytes", [this] {
+    return static_cast<double>(wme_pool_->bytes_held());
+  });
   metrics_->RegisterCounter(this, "wm.adds", [this] { return stats_.adds; });
   metrics_->RegisterCounter(this, "wm.removes",
                             [this] { return stats_.removes; });
@@ -58,21 +54,18 @@ WorkingMemory::WorkingMemory(const SchemaRegistry* schemas,
                           [this] { return static_cast<double>(live_.size()); });
   metrics_->RegisterReset(this, [this] {
     ResetStats();
-    if (wme_pool_ != nullptr) wme_pool_->ResetStats();
+    wme_pool_->ResetStats();
   });
 }
 
 WmePtr WorkingMemory::AllocateWme(SymbolId cls, std::vector<Value> fields,
                                   TimeTag tag) {
-  if (wme_pool_ != nullptr) {
-    // allocate_shared puts the Wme and its control block in one pool
-    // block; the stored allocator copy keeps the pool alive until the
-    // block frees itself back (possibly from a match worker thread — the
-    // pool's free list is lock-free for exactly that push).
-    return std::allocate_shared<Wme>(WmeSlabAllocator<Wme>(wme_pool_), cls,
-                                     std::move(fields), tag);
-  }
-  return std::make_shared<const Wme>(cls, std::move(fields), tag);
+  // allocate_shared puts the Wme and its control block in one pool block;
+  // the stored allocator copy keeps the pool alive until the block frees
+  // itself back (possibly from a match worker thread — the pool's free
+  // list is lock-free for exactly that push).
+  return std::allocate_shared<Wme>(WmeSlabAllocator<Wme>(wme_pool_), cls,
+                                   std::move(fields), tag);
 }
 
 WorkingMemory::~WorkingMemory() {

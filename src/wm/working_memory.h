@@ -76,9 +76,8 @@ class WorkingMemory {
     uint64_t batched_changes = 0;
     uint64_t rollbacks = 0;
     uint64_t changes_rolled_back = 0;
-    /// Slab-pool recycling (EngineOptions::wme_arena). Only populated in
-    /// Engine::match_stats() snapshots — the live numbers belong to the
-    /// pool, not this struct — and zero when the pool is disabled.
+    /// WME slab-pool recycling. Only populated in Engine::match_stats()
+    /// snapshots — the live numbers belong to the pool, not this struct.
     uint64_t wme_pool_hits = 0;
     uint64_t wme_slabs = 0;
   };
@@ -86,11 +85,11 @@ class WorkingMemory {
   /// `metrics` / `tracer` (borrowed, may be null) hook this WM into the
   /// observability layer: the wm.* counters register as registry views and
   /// top-level commits / rollbacks emit batch_commit / rollback events.
-  /// `slab_wmes` allocates WMEs from a block-recycling slab pool
-  /// (EngineOptions::wme_arena; off falls back to make_shared).
+  /// WMEs and their shared_ptr control blocks are allocated from a
+  /// block-recycling slab pool.
   WorkingMemory(const SchemaRegistry* schemas, const SymbolTable* symbols,
                 obs::MetricRegistry* metrics = nullptr,
-                obs::Tracer* tracer = nullptr, bool slab_wmes = true);
+                obs::Tracer* tracer = nullptr);
   ~WorkingMemory();
 
   WorkingMemory(const WorkingMemory&) = delete;
@@ -165,8 +164,7 @@ class WorkingMemory {
  private:
   void NotifyAdd(const WmePtr& wme, TimeTag modify_pair);
   void NotifyRemove(const WmePtr& wme, TimeTag modify_pair);
-  /// WME construction: through the slab pool when enabled, make_shared
-  /// otherwise.
+  /// WME construction through the slab pool.
   WmePtr AllocateWme(SymbolId cls, std::vector<Value> fields, TimeTag tag);
 
   const SchemaRegistry* schemas_;
@@ -186,9 +184,9 @@ class WorkingMemory {
   /// One entry per open transaction.
   std::vector<Savepoint> savepoints_;
   Stats stats_;
-  /// Slab pool for WME blocks (null when slab allocation is disabled).
-  /// shared_ptr: every WME's control block co-owns the pool, so WMEs that
-  /// outlive this WorkingMemory still free into live storage.
+  /// Slab pool for WME blocks. shared_ptr: every WME's control block
+  /// co-owns the pool, so WMEs that outlive this WorkingMemory still free
+  /// into live storage.
   std::shared_ptr<class WmeBlockPool> wme_pool_;
 };
 

@@ -53,8 +53,6 @@ struct FuzzConfig {
   int intra_split = 0;
   bool parallel_rhs = false;
   bool indexed_cs = true;
-  bool bulk_removal = true;  // Rete: per-batch bulk token-tree deletion
-  bool soa_memories = true;  // Rete/TREAT: columnar match-state layout
   JoinOrder join_order = JoinOrder::kTextual;
 
   std::string ToString() const {
@@ -68,8 +66,6 @@ struct FuzzConfig {
            " intra_split=" + std::to_string(intra_split) +
            " parallel_rhs=" + std::to_string(parallel_rhs) +
            " indexed_cs=" + std::to_string(indexed_cs) +
-           " bulk_removal=" + std::to_string(bulk_removal) +
-           " soa_memories=" + std::to_string(soa_memories) +
            " join_order=" +
            (join_order == JoinOrder::kTextual ? "textual" : "optimized");
   }
@@ -176,8 +172,6 @@ FuzzResult RunSchedule(const FuzzProgram& program,
   opts.intra_rule_split_min_tokens = config.intra_split;
   opts.parallel_rhs = config.parallel_rhs;
   opts.indexed_conflict_set = config.indexed_cs;
-  opts.rete.bulk_removal = config.bulk_removal;
-  opts.rete.soa_memories = config.soa_memories;
   opts.join_order = config.join_order;
   std::ostringstream events;
   obs::JsonLinesTraceSink sink(&events);
@@ -350,11 +344,9 @@ void CheckConfigSweep(MatcherKind matcher, unsigned seed) {
         // is canonicalized, so optimized plans (serial and parallel) stay
         // bit-identical to the textual-order baseline.
         variants.push_back({matcher, strategy, 0, batched, 0, false,
-                            /*indexed_cs=*/true, /*bulk_removal=*/true,
-                            /*soa_memories=*/true, JoinOrder::kOptimized});
+                            /*indexed_cs=*/true, JoinOrder::kOptimized});
         variants.push_back({matcher, strategy, 4, batched, 0, false,
-                            /*indexed_cs=*/true, /*bulk_removal=*/true,
-                            /*soa_memories=*/true, JoinOrder::kOptimized});
+                            /*indexed_cs=*/true, JoinOrder::kOptimized});
       }
       for (const FuzzConfig& variant : variants) {
         std::string mismatch =
@@ -393,31 +385,13 @@ void CheckRemoveHeavy(MatcherKind matcher, unsigned seed) {
           {matcher, strategy, 4, batched, 0, false},
           {matcher, strategy, 4, batched, 2, true},
       };
-      if (matcher == MatcherKind::kRete) {
-        // The per-token deletion ablation must be observationally
-        // identical to the default bulk tree-deletion path.
-        variants.push_back({matcher, strategy, 0, batched, 0, false,
-                            /*indexed_cs=*/true, /*bulk_removal=*/false});
-        variants.push_back({matcher, strategy, 4, batched, 0, false,
-                            /*indexed_cs=*/true, /*bulk_removal=*/false});
-      }
-      // The tuple-layout (AoS) match-state ablation must be bit-identical
-      // to the default columnar layout, serial and parallel.
-      variants.push_back({matcher, strategy, 0, batched, 0, false,
-                          /*indexed_cs=*/true, /*bulk_removal=*/true,
-                          /*soa_memories=*/false});
-      variants.push_back({matcher, strategy, 4, batched, 0, false,
-                          /*indexed_cs=*/true, /*bulk_removal=*/true,
-                          /*soa_memories=*/false});
       if (matcher == MatcherKind::kPlan) {
         // Optimized join order under retraction-heavy load: the unblock
         // re-searches and instantiation drops must stay bit-identical.
         variants.push_back({matcher, strategy, 0, batched, 0, false,
-                            /*indexed_cs=*/true, /*bulk_removal=*/true,
-                            /*soa_memories=*/true, JoinOrder::kOptimized});
+                            /*indexed_cs=*/true, JoinOrder::kOptimized});
         variants.push_back({matcher, strategy, 4, batched, 0, false,
-                            /*indexed_cs=*/true, /*bulk_removal=*/true,
-                            /*soa_memories=*/true, JoinOrder::kOptimized});
+                            /*indexed_cs=*/true, JoinOrder::kOptimized});
       }
       for (const FuzzConfig& variant : variants) {
         std::string mismatch =
@@ -446,11 +420,11 @@ void CheckCrossMatcher(unsigned seed) {
   FuzzConfig dips{MatcherKind::kDips, strategy, 4};
   FuzzConfig plan{MatcherKind::kPlan, strategy, 4};
   FuzzConfig rete_opt{MatcherKind::kRete, strategy, 0, true, 0, false,
-                      true, true, true, JoinOrder::kOptimized};
+                      true, JoinOrder::kOptimized};
   FuzzConfig treat_opt{MatcherKind::kTreat, strategy, 4, true, 0, false,
-                       true, true, true, JoinOrder::kOptimized};
+                       true, JoinOrder::kOptimized};
   FuzzConfig plan_opt{MatcherKind::kPlan, strategy, 0, true, 0, false,
-                      true, true, true, JoinOrder::kOptimized};
+                      true, JoinOrder::kOptimized};
   // The reordered Rete/TREAT columns execute a rewritten rule whose token
   // positions are permuted, so their rows compare as multisets; the plan
   // matcher never rewrites the rule and keeps the strict row comparison.
@@ -495,10 +469,10 @@ void CheckPlanVsRete(unsigned seed, int neg_chance, int remove_pct) {
       FuzzConfig plans[] = {
           {MatcherKind::kPlan, strategy, 0, batched, 0, false},
           {MatcherKind::kPlan, strategy, 4, batched, 0, false},
-          {MatcherKind::kPlan, strategy, 0, batched, 0, false, true, true,
-           true, JoinOrder::kOptimized},
-          {MatcherKind::kPlan, strategy, 4, batched, 0, false, true, true,
-           true, JoinOrder::kOptimized},
+          {MatcherKind::kPlan, strategy, 0, batched, 0, false, true,
+           JoinOrder::kOptimized},
+          {MatcherKind::kPlan, strategy, 4, batched, 0, false, true,
+           JoinOrder::kOptimized},
       };
       for (const FuzzConfig& plan : plans) {
         std::string mismatch =

@@ -257,37 +257,31 @@ TEST(ParallelMatchEngaged, PoolRunsTasks) {
   }
 }
 
-// The intra-rule split path actually engages: with a tiny threshold, Rete
-// and TREAT must report forked slice scans.
+// The intra-rule split path actually engages: with a tiny threshold, TREAT
+// (the only matcher that splits one rule's work) must report forked slice
+// scans.
 TEST(ParallelMatchEngaged, IntraRuleSplitRunsSlices) {
-  for (MatcherKind matcher : {MatcherKind::kRete, MatcherKind::kTreat}) {
-    EngineOptions opts;
-    opts.matcher = matcher;
-    opts.match_threads = 2;
-    opts.intra_rule_split_min_tokens = 2;
-    Engine engine(opts);
-    std::ostringstream sink;
-    engine.set_output(&sink);
-    MustLoad(engine, std::string(kSchema));
-    for (int i = 0; i < 16; ++i) {
-      MustMake(engine, "player",
-               {{"name", engine.Sym(i % 2 == 0 ? "ann" : "bob")},
-                {"team", engine.Sym(i % 3 == 0 ? "B" : "C")},
-                {"score", Value::Int(i % 6)}});
-    }
-    // Rules load after the WM is populated so the add-rule search (TREAT's
-    // SearchAll, Rete's replay) scans alphas above the split threshold.
-    MustLoad(engine, kTupleRules);
-    MustRun(engine, 24);
-    Engine::MatchStats stats = engine.match_stats();
-    uint64_t splits = matcher == MatcherKind::kRete ? stats.rete.intra_splits
-                                                    : stats.treat.intra_splits;
-    uint64_t slice_tasks = matcher == MatcherKind::kRete
-                               ? stats.rete.intra_slice_tasks
-                               : stats.treat.intra_slice_tasks;
-    EXPECT_GT(splits, 0u) << "matcher " << static_cast<int>(matcher);
-    EXPECT_GT(slice_tasks, splits) << "matcher " << static_cast<int>(matcher);
+  EngineOptions opts;
+  opts.matcher = MatcherKind::kTreat;
+  opts.match_threads = 2;
+  opts.intra_rule_split_min_tokens = 2;
+  Engine engine(opts);
+  std::ostringstream sink;
+  engine.set_output(&sink);
+  MustLoad(engine, std::string(kSchema));
+  for (int i = 0; i < 16; ++i) {
+    MustMake(engine, "player",
+             {{"name", engine.Sym(i % 2 == 0 ? "ann" : "bob")},
+              {"team", engine.Sym(i % 3 == 0 ? "B" : "C")},
+              {"score", Value::Int(i % 6)}});
   }
+  // Rules load after the WM is populated so the add-rule search (TREAT's
+  // SearchAll) scans alphas above the split threshold.
+  MustLoad(engine, kTupleRules);
+  MustRun(engine, 24);
+  Engine::MatchStats stats = engine.match_stats();
+  EXPECT_GT(stats.treat.intra_splits, 0u);
+  EXPECT_GT(stats.treat.intra_slice_tasks, stats.treat.intra_splits);
 }
 
 // Parallel RHS engages without match threads: the engine must still build

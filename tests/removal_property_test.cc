@@ -1,13 +1,17 @@
 // Removal-path property tests.
 //
-// The Rete matcher's removal pipeline has two independently switchable
-// layers — per-batch bulk token-tree deletion (`rete.bulk_removal`) and
-// slab-backed token arenas (`rete.token_slab`) — plus the WME slab pool
-// (`EngineOptions::wme_arena`). None of them may change observable
-// behavior: over seeded remove-heavy fuzz schedules, every ablation (and
-// every parallel configuration on top of it) must reproduce the default
-// configuration's firing trace, per-op conflict-set fingerprints, final
-// WM dump, and time-tag counter bit for bit.
+// The Rete matcher removes through one token-deletion routine: bulk tree
+// deletion with one deferred compaction per flush, over slab-backed token
+// arenas, with WMEs from a slab pool. Two checks hold it to an
+// observable contract over seeded remove-heavy fuzz schedules:
+//
+//  - parallel replay (match_threads = 4) must reproduce the sequential
+//    engine's firing trace, per-op conflict-set fingerprints, final WM
+//    dump, and time-tag counter bit for bit;
+//  - on match-only schedules, Rete at threads 0 and 4 must produce the
+//    same canonical conflict set after every op, and the same final WM,
+//    as DIPS — a matcher with no tokens at all, so an independent
+//    reference for what deletion must leave behind.
 //
 // A deterministic churn check then pins the recycling contract itself:
 // tokens freed by a removal batch must be served back out of the arena
@@ -34,18 +38,12 @@ using fuzz::FuzzProgram;
 using fuzz::FuzzRng;
 
 struct RemovalConfig {
-  bool bulk = true;
-  int slab = 256;
+  MatcherKind matcher = MatcherKind::kRete;
   int threads = 0;
-  bool wme_arena = true;
-  bool soa = true;
 
   std::string ToString() const {
-    return std::string("bulk=") + std::to_string(bulk) +
-           " slab=" + std::to_string(slab) +
-           " threads=" + std::to_string(threads) +
-           " wme_arena=" + std::to_string(wme_arena) +
-           " soa=" + std::to_string(soa);
+    return std::string(matcher == MatcherKind::kRete ? "rete" : "dips") +
+           " threads=" + std::to_string(threads);
   }
 };
 
@@ -94,13 +92,9 @@ RunResult RunSchedule(const FuzzProgram& program,
                       const RemovalConfig& config) {
   RunResult result;
   EngineOptions opts;
-  opts.matcher = MatcherKind::kRete;
+  opts.matcher = config.matcher;
   opts.trace_firings = true;
   opts.match_threads = config.threads;
-  opts.rete.bulk_removal = config.bulk;
-  opts.rete.token_slab = config.slab;
-  opts.rete.soa_memories = config.soa;
-  opts.wme_arena = config.wme_arena;
   Engine engine(opts);
   std::ostringstream out;
   engine.set_output(&out);
@@ -178,8 +172,8 @@ std::string Diff(const RunResult& a, const RunResult& b) {
   return "";
 }
 
-/// One seed: a high-negation program against a remove-heavy schedule,
-/// default config vs every removal-path ablation.
+/// One seed: a high-negation program against a remove-heavy firing
+/// schedule, sequential Rete vs parallel replay.
 void CheckSeed(unsigned seed, unsigned remove_pct) {
   FuzzRng rng(seed);
   FuzzProgram program = fuzz::GenProgram(rng, /*allow_set=*/true,
@@ -190,25 +184,41 @@ void CheckSeed(unsigned seed, unsigned remove_pct) {
   RunResult base_result = RunSchedule(program, schedule, base);
   ASSERT_EQ(base_result.load_error, "")
       << "seed " << seed << "\n" << program.Source();
-  RemovalConfig variants[] = {
-      {/*bulk=*/false, 256, 0, true},   // per-token tree deletion
-      {true, /*slab=*/0, 0, true},      // tracked-heap token allocation
-      {false, 0, 0, true},              // both ablations at once
-      {true, 256, /*threads=*/4, true},       // parallel replay, bulk
-      {false, 256, /*threads=*/4, true},      // parallel replay, per-token
-      {true, 256, 0, /*wme_arena=*/false},    // make_shared WMEs
-      {true, 256, 0, true, /*soa=*/false},    // AoS alpha/beta memories
-      {true, 256, 4, true, /*soa=*/false},    // AoS + parallel replay
-  };
-  for (const RemovalConfig& variant : variants) {
+  RemovalConfig parallel{MatcherKind::kRete, /*threads=*/4};
+  std::string mismatch =
+      Diff(base_result, RunSchedule(program, schedule, parallel));
+  EXPECT_EQ(mismatch, "")
+      << "seed " << seed << " remove_pct " << remove_pct << "\nbase: "
+      << base.ToString() << "\nvariant: " << parallel.ToString() << "\n"
+      << program.Source() << "\n" << fuzz::ScheduleToString(schedule);
+}
+
+/// One seed of the independent-reference check: the same generator on a
+/// match-only schedule, Rete at threads 0 and 4 against DIPS. With no runs
+/// nothing fires, so there is no firing order to disagree on, and the full
+/// Diff reduces to the per-op conflict sets and the final WM. Returns
+/// whether the program has a negated CE, the case where token deletion and
+/// unblocking interleave.
+bool CheckAgainstDips(unsigned seed, unsigned remove_pct) {
+  FuzzRng rng(seed);
+  FuzzProgram program = fuzz::GenProgram(rng, /*allow_set=*/true,
+                                         /*neg_chance=*/70);
+  std::vector<FuzzOp> schedule =
+      fuzz::GenSchedule(rng, 40, /*with_runs=*/false, remove_pct);
+  RemovalConfig dips{MatcherKind::kDips, 0};
+  RunResult reference = RunSchedule(program, schedule, dips);
+  EXPECT_EQ(reference.load_error, "")
+      << "seed " << seed << "\n" << program.Source();
+  for (int threads : {0, 4}) {
+    RemovalConfig rete{MatcherKind::kRete, threads};
     std::string mismatch =
-        Diff(base_result, RunSchedule(program, schedule, variant));
+        Diff(reference, RunSchedule(program, schedule, rete));
     EXPECT_EQ(mismatch, "")
-        << "seed " << seed << " remove_pct " << remove_pct << "\nbase: "
-        << base.ToString() << "\nvariant: " << variant.ToString() << "\n"
+        << "seed " << seed << " remove_pct " << remove_pct << "\nA: "
+        << dips.ToString() << "\nB: " << rete.ToString() << "\n"
         << program.Source() << "\n" << fuzz::ScheduleToString(schedule);
-    if (::testing::Test::HasFailure()) return;
   }
+  return program.Source().find(" - (item") != std::string::npos;
 }
 
 class RemovalProperty : public ::testing::TestWithParam<int> {};
@@ -230,6 +240,23 @@ TEST_P(RemovalProperty, ChurnSchedules) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RemovalProperty, ::testing::Range(0, 4));
+
+/// 160 seeds, 80 at each removal share, two Rete-vs-DIPS pairs per seed.
+/// The negated-CE floor guards the generator: most programs must exercise
+/// the negative-node retract and unblock paths.
+TEST(RemovalReference, ReteMatchesDipsOnRemoveHeavySchedules) {
+  int with_negation = 0;
+  for (unsigned remove_pct : {60u, 40u}) {
+    for (unsigned s = 0; s < 80; ++s) {
+      if (CheckAgainstDips(9000 + remove_pct * 100 + s, remove_pct)) {
+        ++with_negation;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  ::testing::Test::RecordProperty("programs_with_negated_ce", with_negation);
+  EXPECT_GE(with_negation, 100);
+}
 
 /// The recycling contract, on a deterministic negation-free churn: remove
 /// batches must feed the arena free lists, the next add batch must drain
@@ -299,25 +326,14 @@ TEST(RemovalRegression, CascadeBornTokenKeepsItsBlockers) {
       "(literalize item id cat val)\n"
       "(p guard (item ^cat A) - (item ^cat B) - (item ^val 2) -->"
       " (write fired (crlf)))";
-  struct Config {
-    MatcherKind matcher;
-    bool bulk;
-    int threads;
-    bool soa = true;
+  const RemovalConfig configs[] = {
+      {MatcherKind::kRete, 0},  {MatcherKind::kRete, 4},
+      {MatcherKind::kTreat, 0}, {MatcherKind::kPlan, 0},
+      {MatcherKind::kDips, 0},
   };
-  const Config configs[] = {
-      {MatcherKind::kRete, true, 0},
-      {MatcherKind::kRete, false, 0},
-      {MatcherKind::kRete, true, 4},
-      {MatcherKind::kRete, true, 0, /*soa=*/false},
-      {MatcherKind::kTreat, true, 0},
-      {MatcherKind::kTreat, true, 0, /*soa=*/false},
-  };
-  for (const Config& config : configs) {
+  for (const RemovalConfig& config : configs) {
     EngineOptions opts;
     opts.matcher = config.matcher;
-    opts.rete.bulk_removal = config.bulk;
-    opts.rete.soa_memories = config.soa;
     opts.match_threads = config.threads;
     Engine engine(opts);
     std::ostringstream out;
@@ -335,9 +351,7 @@ TEST(RemovalRegression, CascadeBornTokenKeepsItsBlockers) {
     make(2, "A", 0);              // matches the positive CE
     std::string label = "matcher " +
                         std::to_string(static_cast<int>(config.matcher)) +
-                        " bulk " + std::to_string(config.bulk) + " threads " +
-                        std::to_string(config.threads) + " soa " +
-                        std::to_string(config.soa);
+                        " threads " + std::to_string(config.threads);
     EXPECT_EQ(engine.conflict_set().Entries().size(), 0u) << label;
     EXPECT_TRUE(engine.RemoveWme(w).ok());
     EXPECT_EQ(engine.conflict_set().Entries().size(), 0u) << label;
@@ -347,8 +361,8 @@ TEST(RemovalRegression, CascadeBornTokenKeepsItsBlockers) {
   }
 }
 
-/// The same churn with the WME arena: the remove batch must push freed
-/// WME blocks, and the re-add batch must pop them.
+/// The same churn through the WME slab pool: the remove batch must push
+/// freed WME blocks, and the re-add batch must pop them.
 TEST(RemovalChurn, RecyclesWmeBlocks) {
   EngineOptions opts;
   Engine engine(opts);

@@ -58,6 +58,13 @@ const Step kScript[] = {
      "InvalidArgument"},
     {R"({"cmd":"make","session":"nope","cls":"item","attrs":{}})",
      "NotFound"},
+    // --- numeric fields are range-checked, never narrowed by a cast ---
+    {R"({"cmd":"open","session":"s2","threads":100000})",
+     "InvalidArgument"},  // over kMaxSessionThreads
+    {R"({"cmd":"open","session":"s2","threads":1e20})", "InvalidArgument"},
+    {R"({"cmd":"open","session":"s2","threads":2.5})", "InvalidArgument"},
+    {R"({"cmd":"open","session":"s2","fsync_every":-1e20})",
+     "InvalidArgument"},
     // --- a working session ---
     {R"({"cmd":"open","session":"s1","matcher":"rete","strategy":"lex"})",
      ""},
@@ -94,6 +101,16 @@ const Step kScript[] = {
     {R"({"cmd":"wal","session":"s1"})", ""},  // truncated: records back to 0
     {R"({"cmd":"close","session":"s1"})", ""},
     {R"({"cmd":"close","session":"s1"})", "NotFound"},
+    // --- in-range numbers keep their meaning ---
+    {R"({"cmd":"open","session":"s2","threads":2,"fsync_every":0})", ""},
+    {R"({"cmd":"make","session":"s2","cls":"item","attrs":{"id":3,"cat":"A","val":1}})",
+     ""},
+    {R"({"cmd":"run","session":"s2","max":1e20})", "InvalidArgument"},
+    {R"({"cmd":"run","session":"s2","max":0.5})", "InvalidArgument"},
+    {R"({"cmd":"run","session":"s2","max":-3})", ""},  // negative: unlimited
+    // fsync_every 0 clamped to 1: one fsync per record.
+    {R"({"cmd":"wal","session":"s2"})", ""},
+    {R"({"cmd":"close","session":"s2"})", ""},
     {R"({"cmd":"shutdown"})", ""},
 };
 

@@ -286,6 +286,22 @@ TEST(CodecTest, RunEntryRoundTrip) {
   EXPECT_EQ(entry->max_firings, -1);
 }
 
+TEST(CodecTest, RunEntryMaxMustFitInt) {
+  SymbolTable symbols;
+  auto at_limit = DecodeEntry(
+      "{\"t\":\"run\",\"lsn\":\"1\",\"max\":\"-2147483648\"}", &symbols);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit->max_firings, -2147483647 - 1);
+  auto over = DecodeEntry(
+      "{\"t\":\"run\",\"lsn\":\"1\",\"max\":\"2147483648\"}", &symbols);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(DecodeEntry(
+                   "{\"t\":\"run\",\"lsn\":\"1\",\"max\":\"-9000000000\"}",
+                   &symbols)
+                   .ok());
+}
+
 TEST(CodecTest, MalformedEntriesError) {
   SymbolTable symbols;
   EXPECT_FALSE(DecodeEntry("not json", &symbols).ok());

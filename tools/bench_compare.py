@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Compare a bench --json report against a committed baseline.
 
-Usage: bench_compare.py BASELINE.json CURRENT.json [--time-ratio R]
+Usage: bench_compare.py BASELINE.json CURRENT.json
 
 Two checks, both hard failures (exit 1):
 
-1. Counter drift: every non-timing field must be exactly equal between the
+1. Missing rows: every row label in the baseline must also be in the
+   current report. A bench that stops emitting a row would otherwise
+   shrink the gate without anyone noticing; a row that is dropped on
+   purpose must be dropped from the committed seed in the same commit.
+   Rows only the current report has are allowed (a new row is gated once
+   its seed is committed).
+
+2. Counter drift: every non-timing field must be exactly equal between the
    baseline and the current run, on the labels both reports contain. The
    match counters (join attempts, tokens created/deleted, pool hits, ...)
    are deterministic for a fixed workload and configuration, so any drift
@@ -13,18 +20,10 @@ Two checks, both hard failures (exit 1):
    bug or a change that must refresh the committed seed JSON in the same
    commit.
 
-2. Phase-time regression: within the *current* run, each `*_ms` phase is
-   summed over every `soa=on` row and over the matching `soa=off` ablation
-   twins; the `soa=on` total must not exceed the given ratio (default 1.25)
-   times the `soa=off` total. Aggregating over the whole sweep keeps the
-   gate meaningful on noisy CI runners — single-row ratios flap with
-   scheduler jitter — while still catching the columnar layout falling off
-   a cliff relative to the tuple layout.
-
 Timing fields (`*_ms`, `*speedup*`) and scheduling-shaped high-water marks
 (`pool.max_task_depth`, `pool.nested_batches`) are excluded from the
 equality check; `host_cores` lives in the config block, which is not
-compared.
+compared. No timing is gated.
 """
 
 import argparse
@@ -49,6 +48,12 @@ def rows_by_label(report):
     return {row["label"]: row for row in report.get("results", [])}
 
 
+def check_missing_rows(baseline, current):
+    cur_rows = rows_by_label(current)
+    return sorted(label for label in rows_by_label(baseline)
+                  if label not in cur_rows)
+
+
 def check_counter_drift(baseline, current):
     base_rows = rows_by_label(baseline)
     cur_rows = rows_by_label(current)
@@ -70,47 +75,10 @@ def check_counter_drift(baseline, current):
     return failures
 
 
-def check_soa_regression(current, ratio):
-    cur_rows = rows_by_label(current)
-    on_totals, off_totals = {}, {}
-    pairs = 0
-    for label, on_row in sorted(cur_rows.items()):
-        # Rows come in twin pairs: ".../soa=on" vs ".../soa=off", or a
-        # default row (soa on) with an explicit "/soa=off" twin.
-        if label.endswith("/soa=off"):
-            continue
-        if "/soa=on" in label:
-            off_label = label.replace("/soa=on", "/soa=off")
-        else:
-            off_label = label + "/soa=off"
-        off_row = cur_rows.get(off_label)
-        if off_row is None:
-            continue
-        pairs += 1
-        for field in sorted(set(on_row) & set(off_row)):
-            if not field.endswith("_ms"):
-                continue
-            on_totals[field] = on_totals.get(field, 0.0) + on_row[field]
-            off_totals[field] = off_totals.get(field, 0.0) + off_row[field]
-    failures = []
-    for field in sorted(on_totals):
-        on_ms, off_ms = on_totals[field], off_totals[field]
-        # Sub-millisecond totals are all noise.
-        if off_ms < 1.0:
-            continue
-        if on_ms > off_ms * ratio:
-            failures.append(
-                f"{field} over {pairs} row pairs: soa=on {on_ms:.2f}ms > "
-                f"{ratio:.2f}x soa=off {off_ms:.2f}ms")
-    return failures
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
     parser.add_argument("current")
-    parser.add_argument("--time-ratio", type=float, default=1.25,
-                        help="max allowed soa=on / soa=off time ratio")
     args = parser.parse_args()
 
     with open(args.baseline) as f:
@@ -124,16 +92,16 @@ def main():
               file=sys.stderr)
         return 1
 
+    missing = check_missing_rows(baseline, current)
     drift = check_counter_drift(baseline, current)
-    slow = check_soa_regression(current, args.time_ratio)
 
+    for label in missing:
+        print(f"MISSING ROW: {label}", file=sys.stderr)
     for line in drift:
         print(f"COUNTER DRIFT: {line}", file=sys.stderr)
-    for line in slow:
-        print(f"TIME REGRESSION: {line}", file=sys.stderr)
-    if drift or slow:
-        print(f"bench_compare: FAILED ({len(drift)} drifted counters, "
-              f"{len(slow)} slow phases)", file=sys.stderr)
+    if missing or drift:
+        print(f"bench_compare: FAILED ({len(missing)} missing rows, "
+              f"{len(drift)} drifted counters)", file=sys.stderr)
         return 1
     n = len(set(rows_by_label(baseline)) & set(rows_by_label(current)))
     print(f"bench_compare: OK ({n} shared rows, counters identical)")
