@@ -261,7 +261,6 @@ void PrintTable(bench::JsonReport* report) {
   sopts.data_dir = server_dir;
   auto server = EngineServer::Create(kRules, sopts);
   uint64_t base_bytes = 0;
-  uint64_t shared_bytes = 0;
   int resident = 0;
   double open_ms = 0;
   if (server.ok()) {
@@ -274,18 +273,15 @@ void PrintTable(bench::JsonReport* report) {
                   std::chrono::steady_clock::now() - start)
                   .count();
     base_bytes = (*server)->rule_base()->MemoryBytes();
-    shared_bytes = (*server)->shared_network_bytes();
     resident = (*server)->sessions_resident();
   }
   std::printf("shared base: %llu bytes serving %d sessions (%llu bytes "
               "saved vs per-session compiles)\n\n",
-              static_cast<unsigned long long>(shared_bytes), resident,
+              static_cast<unsigned long long>(base_bytes), resident,
               static_cast<unsigned long long>(base_bytes * (kSessions - 1)));
   if (report != nullptr) {
     report->BeginRow("shared_base/sessions=" + std::to_string(kSessions));
     report->Value("server.rule_base_bytes", static_cast<double>(base_bytes));
-    report->Value("server.shared_network_bytes",
-                  static_cast<double>(shared_bytes));
     report->Value("server.sessions_resident", resident);
     report->Value("server.bytes_saved",
                   static_cast<double>(base_bytes * (kSessions - 1)));

@@ -15,14 +15,12 @@ namespace bench {
 namespace {
 
 int RunSeating(MatcherKind kind, int guests, bool set_oriented_done,
-               bool indexed = true, int match_threads = 0,
-               bool parallel_rhs = false) {
+               bool indexed = true, int match_threads = 0) {
   EngineOptions options;
   options.matcher = kind;
   options.rete.use_indexed_joins = indexed;
   options.indexed_conflict_set = indexed;
   options.match_threads = match_threads;
-  options.parallel_rhs = parallel_rhs;
   Engine engine(options);
   engine.set_output(DevNull());
   std::string rules = sorel_examples::kDinnerRules;
@@ -128,22 +126,6 @@ BENCHMARK(BM_SeatingThreads)
     ->Args({2, 64})
     ->Args({4, 64})
     ->Args({8, 64});
-
-/// Parallel RHS on/off: the set-oriented completion rule is the only
-/// multi-member firing, so this measures pool fork overhead against one
-/// wide set-modify-style action per run.
-void BM_SeatingParallelRhs(benchmark::State& state) {
-  bool parallel = state.range(0) != 0;
-  int guests = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    int fired = RunSeating(MatcherKind::kRete, guests,
-                           /*set_oriented_done=*/true, /*indexed=*/true,
-                           /*match_threads=*/0, parallel);
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetLabel(parallel ? "parallel_rhs" : "sequential rhs");
-}
-BENCHMARK(BM_SeatingParallelRhs)->Args({0, 64})->Args({1, 64});
 
 void PrintHeader() {
   std::printf("=== B2: Manners-style seating macro workload ===\n");

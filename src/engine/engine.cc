@@ -47,10 +47,6 @@ Engine::Engine(EngineOptions options, RuleBasePtr base)
     // rules, schemas, and startup actions all hold the base's SymbolIds by
     // value, and CopyFrom preserves ids exactly.
     symbols_.CopyFrom(base_->symbols());
-    // Hand the matcher the shared topology so its alpha structures borrow
-    // the base's immutable patterns (pointer-identity dedup) instead of
-    // deriving private copies.
-    options_.rete.topology = &base_->topology();
   }
   // Before any matcher is built: they consult timing_enabled() at
   // construction to decide whether to install hot-path scope timers.
@@ -61,17 +57,14 @@ Engine::Engine(EngineOptions options, RuleBasePtr base)
     act_timer_ = metrics_.GetOrCreateTimer("phase.act");
   }
   rhs_.set_output(out_);
-  if (options_.match_threads > 0 || options_.parallel_rhs) {
-    pool_ = std::make_unique<ThreadPool>(
-        options_.match_threads > 0 ? options_.match_threads : 2);
+  if (options_.match_threads > 0) {
+    pool_ = std::make_unique<ThreadPool>(options_.match_threads);
   }
-  // The matchers see the pool only when match_threads asks for parallel
-  // propagation — a parallel_rhs-only pool must not flip them onto the
-  // parallel batch path.
-  ThreadPool* match_pool = options_.match_threads > 0 ? pool_.get() : nullptr;
-  if (match_pool != nullptr) options_.rete.pool = match_pool;
-  options_.rete.metrics = &metrics_;
-  options_.rete.tracer = &trace_;
+  // Bound engines hand the matcher the shared topology so its alpha
+  // structures borrow the base's immutable patterns (pointer-identity
+  // dedup) instead of deriving private copies.
+  const NetworkTopology* topology =
+      base_ != nullptr ? &base_->topology() : nullptr;
   if (options_.matcher == MatcherKind::kRete) {
     SinkFactory factory = [this](const CompiledRule& rule)
         -> std::unique_ptr<ReteSink> {
@@ -81,26 +74,26 @@ Engine::Engine(EngineOptions options, RuleBasePtr base)
       snodes_[rule.name] = snode.get();
       return snode;
     };
-    auto rete = std::make_unique<ReteMatcher>(wm_.get(), &cs_,
-                                              std::move(factory),
-                                              options_.rete);
+    auto rete = std::make_unique<ReteMatcher>(
+        wm_.get(), &cs_, std::move(factory), options_.rete, pool_.get(),
+        &metrics_, &trace_, topology);
     rete_ = rete.get();
     matcher_ = std::move(rete);
   } else if (options_.matcher == MatcherKind::kTreat) {
     auto treat = std::make_unique<TreatMatcher>(
-        wm_.get(), &cs_, match_pool, options_.intra_rule_split_min_tokens,
+        wm_.get(), &cs_, pool_.get(), options_.intra_rule_split_min_tokens,
         &metrics_, &trace_);
     treat_ = treat.get();
     matcher_ = std::move(treat);
   } else if (options_.matcher == MatcherKind::kPlan) {
     auto plan = std::make_unique<PlanMatcher>(
-        wm_.get(), &cs_, options_.join_order, match_pool, &metrics_, &trace_,
-        base_ != nullptr ? &base_->topology() : nullptr);
+        wm_.get(), &cs_, options_.join_order, pool_.get(), &metrics_, &trace_,
+        topology);
     plan_ = plan.get();
     matcher_ = std::move(plan);
   } else {
     auto dips = std::make_unique<dips::DipsMatcher>(
-        wm_.get(), &cs_, match_pool, &metrics_, &trace_);
+        wm_.get(), &cs_, pool_.get(), &metrics_, &trace_);
     dips_ = dips.get();
     matcher_ = std::move(dips);
   }
@@ -137,8 +130,6 @@ Engine::Engine(EngineOptions options, RuleBasePtr base)
     parallel_stats_ = {};
   });
   rhs_.set_transactional(options_.batched_wm);
-  rhs_.set_pool(pool_.get());
-  rhs_.set_parallel(options_.parallel_rhs);
   startup_context_.name = "startup";
   if (options_.trace_wm) {
     tracer_ = std::make_unique<WmTracer>(this);

@@ -48,7 +48,9 @@ struct EngineOptions {
   bool trace_firings = false;
   /// Print "==> (wme)" / "<== (wme)" lines on every WM change.
   bool trace_wm = false;
-  /// Match-network options (kRete only).
+  /// Match-network options (kRete only). The engine hands the matcher its
+  /// worker pool, metric registry, tracer and (when bound) the shared
+  /// topology itself.
   ReteOptions rete;
   /// Join-order policy. kTextual keeps the program's CE order (the OPS5
   /// baseline). kOptimized picks a cost-guided order from live alpha
@@ -83,12 +85,6 @@ struct EngineOptions {
   /// (dedup and conflict-set sends) stays serial in scan order, so traces
   /// remain bit-identical. 0 disables. Other matchers ignore it.
   int intra_rule_split_min_tokens = 0;
-  /// Evaluate the member expressions of one firing's set-modify (and of a
-  /// foreach whose body is only make/modify/remove) on the worker pool;
-  /// members commit serially in member order inside the action's
-  /// transaction, and an error rolls back exactly as sequentially (§8.1).
-  /// Implies a pool even when match_threads == 0.
-  bool parallel_rhs = false;
   /// Install phase timers (match/select/act) and per-rule firing timers in
   /// the metric registry; `Profile()` renders them. Off (the default) costs
   /// nothing on the hot paths: components only install a ScopedTimer when
@@ -156,7 +152,7 @@ class Engine {
 
   /// Loads `(literalize ...)` and `(p ...)` forms from source text.
   /// Refused on an engine bound to a shared rule base (the compiled
-  /// artifact is immutable; open a differently-fingerprinted base instead).
+  /// artifact is immutable; compile a new base from the new source instead).
   Status LoadString(std::string_view source);
   Status LoadFile(const std::string& path);
 

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "core/aggregate.h"
 #include "lang/eval.h"
 
@@ -35,14 +34,6 @@ class RhsExecutor::ExecState {
   /// Scalar resolution per §4.1/§6: locals first; then scalar PVs; then
   /// set-oriented PVs that are fixed by an enclosing foreach.
   Result<Value> ResolveVar(const std::string& name) const {
-    return ResolveVar(name, selection_);
-  }
-
-  /// Same, against an explicit selection: parallel RHS evaluates each
-  /// foreach member under that member's sub-selection without mutating the
-  /// shared state.
-  Result<Value> ResolveVar(const std::string& name,
-                           const std::vector<size_t>& selection) const {
     auto local = locals_.find(name);
     if (local != locals_.end()) return local->second;
     const VarInfo* info = rule_->FindVar(name);
@@ -64,29 +55,24 @@ class RhsExecutor::ExecState {
             "> read outside foreach/aggregate");
       }
     }
-    if (selection.empty()) {
+    if (selection_.empty()) {
       return Status::RuntimeError("variable <" + name +
                                   "> read with empty selection");
     }
     const auto& [pos, field] = info->occurrences.front();
-    return rows_[selection.front()][static_cast<size_t>(pos)]->field(field);
+    return rows_[selection_.front()][static_cast<size_t>(pos)]->field(field);
   }
 
   /// Aggregates on the RHS are computed over the current selection with
   /// the same distinct-domain semantics as the S-node.
   Result<Value> EvalAggregate(const Expr& agg) const {
-    return EvalAggregate(agg, selection_);
-  }
-
-  Result<Value> EvalAggregate(const Expr& agg,
-                              const std::vector<size_t>& selection) const {
     const VarInfo* info = rule_->FindVar(agg.var);
     if (info == nullptr) {
       return Status::RuntimeError("unbound variable <" + agg.var + ">");
     }
     AggState state(agg.agg_op);
     if (info->kind == VarInfo::Kind::kElement) {
-      for (size_t i : selection) {
+      for (size_t i : selection_) {
         state.Insert(Value::Int(
             rows_[i][static_cast<size_t>(info->elem_token_pos)]->time_tag()));
       }
@@ -96,7 +82,7 @@ class RhsExecutor::ExecState {
                                     "> has no binding site");
       }
       const auto& [pos, field] = info->occurrences.front();
-      for (size_t i : selection) {
+      for (size_t i : selection_) {
         state.Insert(rows_[i][static_cast<size_t>(pos)]->field(field));
       }
     }
@@ -105,11 +91,6 @@ class RhsExecutor::ExecState {
 
   /// The single WME an element variable denotes under the current scope.
   Result<WmePtr> ResolveElemWme(const std::string& name) const {
-    return ResolveElemWme(name, selection_);
-  }
-
-  Result<WmePtr> ResolveElemWme(const std::string& name,
-                                const std::vector<size_t>& selection) const {
     const VarInfo* info = rule_->FindVar(name);
     if (info == nullptr || info->kind != VarInfo::Kind::kElement) {
       return Status::RuntimeError("<" + name + "> is not an element variable");
@@ -119,11 +100,11 @@ class RhsExecutor::ExecState {
       return Status::RuntimeError("set-oriented element variable <" + name +
                                   "> needs set-modify/set-remove or foreach");
     }
-    if (selection.empty()) {
+    if (selection_.empty()) {
       return Status::RuntimeError("element variable <" + name +
                                   "> read with empty selection");
     }
-    return rows_[selection.front()]
+    return rows_[selection_.front()]
                 [static_cast<size_t>(info->elem_token_pos)];
   }
 
@@ -136,38 +117,19 @@ class RhsExecutor::ExecState {
   std::unordered_set<int> fixed_positions_;
 };
 
-/// Adapts ExecState to the expression evaluator. The two-argument form
-/// pins an explicit selection (a foreach member's sub-selection) so
-/// parallel member evaluations need not mutate the shared state.
+/// Adapts ExecState to the expression evaluator.
 class RhsExecutor::RhsEvalContext : public EvalContext {
  public:
-  explicit RhsEvalContext(const ExecState& state)
-      : state_(&state), selection_(&state.selection()) {}
-  RhsEvalContext(const ExecState& state,
-                 const std::vector<size_t>* selection)
-      : state_(&state), selection_(selection) {}
+  explicit RhsEvalContext(const ExecState& state) : state_(&state) {}
   Result<Value> ResolveVar(const std::string& name) const override {
-    return state_->ResolveVar(name, *selection_);
+    return state_->ResolveVar(name);
   }
   Result<Value> EvalAggregate(const Expr& agg) const override {
-    return state_->EvalAggregate(agg, *selection_);
+    return state_->EvalAggregate(agg);
   }
 
  private:
   const ExecState* state_;
-  const std::vector<size_t>* selection_;
-};
-
-/// Pre-evaluated effects of one make/modify/remove for one member. The
-/// statuses are recorded separately so the serial apply loop reproduces
-/// the sequential check order: target resolution errors surface before the
-/// liveness check, expression/attribute errors only after it.
-struct RhsExecutor::ActionEval {
-  Status target_status = Status::Ok();  // kModify/kRemove target resolution
-  WmePtr target;
-  Status eval_status = Status::Ok();  // first expression/attribute error
-  std::vector<std::pair<SymbolId, Value>> make_values;  // kMake assigns
-  std::vector<std::pair<int, Value>> mod_fields;  // kModify: field + value
 };
 
 Status RhsExecutor::RunInTransaction(const std::function<Status()>& body) {
@@ -195,10 +157,6 @@ RhsExecutor::RhsExecutor(WorkingMemory* wm, SymbolTable* symbols,
                             [this] { return stats_.wmes_removed; });
   metrics_->RegisterCounter(this, "rhs.skipped_dead_targets",
                             [this] { return stats_.skipped_dead_targets; });
-  metrics_->RegisterCounter(this, "rhs.parallel_forks",
-                            [this] { return stats_.parallel_forks; });
-  metrics_->RegisterCounter(this, "rhs.parallel_member_tasks",
-                            [this] { return stats_.parallel_member_tasks; });
   metrics_->RegisterReset(this, [this] { ResetStats(); });
 }
 
@@ -385,211 +343,12 @@ Status RhsExecutor::DoSetModifyOrRemove(const Action& action,
         state->rows()[i][static_cast<size_t>(info->elem_token_pos)];
     if (seen.insert(w->time_tag()).second) targets.push_back(w);
   }
-  if (action.kind == Action::Kind::kSetModify &&
-      ShouldParallelize(targets.size())) {
-    return DoSetModifyParallel(action, state, targets);
-  }
   for (const WmePtr& w : targets) {
     ++stats_.actions;
     if (action.kind == Action::Kind::kSetRemove) {
       SOREL_RETURN_IF_ERROR(RemoveIfLive(w->time_tag()));
     } else {
       SOREL_RETURN_IF_ERROR(ModifyWme(*w, action, state));
-    }
-  }
-  return Status::Ok();
-}
-
-bool RhsExecutor::BodyIsParallelizable(const std::vector<ActionPtr>& body) {
-  if (body.empty()) return false;
-  for (const ActionPtr& a : body) {
-    switch (a->kind) {
-      case Action::Kind::kMake:
-      case Action::Kind::kModify:
-      case Action::Kind::kRemove:
-        continue;
-      default:
-        // bind/write/halt/if/foreach/set-* bodies carry order-dependent or
-        // output side effects; leave them on the sequential path.
-        return false;
-    }
-  }
-  return true;
-}
-
-void RhsExecutor::EvaluateModifyAssigns(const Action& action,
-                                        const ExecState& state,
-                                        const std::vector<size_t>& selection,
-                                        ActionEval* out) const {
-  // Sequential ModifyWme interleaves per assign: expression first, then the
-  // attribute lookup — reproduce that order so the recorded first error is
-  // the one the sequential path would surface.
-  const ClassSchema* schema = wm_->schemas().Find(out->target->cls());
-  RhsEvalContext ctx(state, &selection);
-  out->mod_fields.reserve(action.assigns.size());
-  for (const auto& [attr, expr] : action.assigns) {
-    Result<Value> v = EvalExpr(*expr, ctx);
-    if (!v.ok()) {
-      out->eval_status = v.status();
-      return;
-    }
-    int field = schema->FieldOf(symbols_->Find(attr));
-    if (field < 0) {
-      out->eval_status =
-          Status::RuntimeError("modify: unknown attribute '" + attr + "'");
-      return;
-    }
-    out->mod_fields.emplace_back(field, *v);
-  }
-}
-
-void RhsExecutor::EvaluateBodyAction(const Action& action,
-                                     const ExecState& state,
-                                     const std::vector<size_t>& selection,
-                                     ActionEval* out) const {
-  RhsEvalContext ctx(state, &selection);
-  if (action.kind == Action::Kind::kMake) {
-    out->make_values.reserve(action.assigns.size());
-    for (const auto& [attr, expr] : action.assigns) {
-      Result<Value> v = EvalExpr(*expr, ctx);
-      if (!v.ok()) {
-        out->eval_status = v.status();
-        return;
-      }
-      out->make_values.emplace_back(symbols_->Find(attr), *v);
-    }
-    return;
-  }
-  // kModify / kRemove: resolve the target exactly as DoModifyOrRemove.
-  if (action.var.empty() && action.remove_ordinal > 0) {
-    int ce = action.remove_ordinal - 1;
-    const CompiledCondition& cond =
-        state.rule().conditions[static_cast<size_t>(ce)];
-    if (selection.empty()) {
-      out->target_status = Status::RuntimeError("remove: empty selection");
-      return;
-    }
-    out->target = state.rows()[selection.front()]
-                              [static_cast<size_t>(cond.token_pos)];
-  } else {
-    Result<WmePtr> target = state.ResolveElemWme(action.var, selection);
-    if (!target.ok()) {
-      out->target_status = target.status();
-      return;
-    }
-    out->target = *target;
-  }
-  if (action.kind == Action::Kind::kModify) {
-    EvaluateModifyAssigns(action, state, selection, out);
-  }
-}
-
-Status RhsExecutor::ApplyBodyAction(const Action& action,
-                                    const ActionEval& eval) {
-  ++stats_.actions;
-  return RunInTransaction([&]() -> Status {
-    if (action.kind == Action::Kind::kMake) {
-      SOREL_RETURN_IF_ERROR(eval.eval_status);
-      SOREL_ASSIGN_OR_RETURN(
-          WmePtr wme, wm_->Make(symbols_->Find(action.cls), eval.make_values));
-      (void)wme;
-      ++stats_.wmes_made;
-      return Status::Ok();
-    }
-    SOREL_RETURN_IF_ERROR(eval.target_status);
-    if (action.kind == Action::Kind::kRemove) {
-      return RemoveIfLive(eval.target->time_tag());
-    }
-    // Modify: liveness before the recorded evaluation error — a dead target
-    // skips silently, exactly as the sequential path (which never evaluates
-    // a dead member's expressions at all).
-    if (wm_->Find(eval.target->time_tag()) == nullptr) {
-      ++stats_.skipped_dead_targets;
-      return Status::Ok();
-    }
-    SOREL_RETURN_IF_ERROR(eval.eval_status);
-    std::vector<Value> fields = eval.target->fields();
-    for (const auto& [field, v] : eval.mod_fields) {
-      fields[static_cast<size_t>(field)] = v;
-    }
-    SOREL_ASSIGN_OR_RETURN(
-        WmePtr wme, wm_->Replace(eval.target->time_tag(), std::move(fields)));
-    (void)wme;
-    ++stats_.wmes_removed;
-    ++stats_.wmes_made;
-    return Status::Ok();
-  });
-}
-
-Status RhsExecutor::DoSetModifyParallel(const Action& action,
-                                        ExecState* state,
-                                        const std::vector<WmePtr>& targets) {
-  // Pre-intern what the member tasks will look up (Intern mutates the
-  // symbol table; workers use the const Find).
-  for (const auto& [attr, expr] : action.assigns) symbols_->Intern(attr);
-  // A set-modify's evaluation context does not vary by member (the
-  // selection is the whole set), but the sequential path still evaluates
-  // per member — replicate that per-member evaluation, just on the pool.
-  std::vector<ActionEval> evals(targets.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(targets.size());
-  const ExecState& st = *state;
-  for (size_t m = 0; m < targets.size(); ++m) {
-    evals[m].target = targets[m];
-    tasks.push_back([this, &action, &st, &evals, m] {
-      EvaluateModifyAssigns(action, st, st.selection(), &evals[m]);
-    });
-  }
-  ++stats_.parallel_forks;
-  stats_.parallel_member_tasks += tasks.size();
-  pool_->RunAll(std::move(tasks));
-  // Serial apply in member order — the sequential loop, minus the already
-  // finished evaluations.
-  for (size_t m = 0; m < targets.size(); ++m) {
-    ++stats_.actions;
-    if (wm_->Find(targets[m]->time_tag()) == nullptr) {
-      ++stats_.skipped_dead_targets;
-      continue;
-    }
-    SOREL_RETURN_IF_ERROR(evals[m].eval_status);
-    std::vector<Value> fields = targets[m]->fields();
-    for (const auto& [field, v] : evals[m].mod_fields) {
-      fields[static_cast<size_t>(field)] = v;
-    }
-    SOREL_ASSIGN_OR_RETURN(
-        WmePtr wme, wm_->Replace(targets[m]->time_tag(), std::move(fields)));
-    (void)wme;
-    ++stats_.wmes_removed;
-    ++stats_.wmes_made;
-  }
-  return Status::Ok();
-}
-
-Status RhsExecutor::ForeachMembersParallel(
-    const Action& action, ExecState* state,
-    const std::vector<std::vector<size_t>>& subs) {
-  for (const ActionPtr& a : action.body) {
-    if (a->kind == Action::Kind::kMake) symbols_->Intern(a->cls);
-    for (const auto& [attr, expr] : a->assigns) symbols_->Intern(attr);
-  }
-  std::vector<std::vector<ActionEval>> evals(subs.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(subs.size());
-  const ExecState& st = *state;
-  for (size_t m = 0; m < subs.size(); ++m) {
-    evals[m].resize(action.body.size());
-    tasks.push_back([this, &action, &st, &subs, &evals, m] {
-      for (size_t a = 0; a < action.body.size(); ++a) {
-        EvaluateBodyAction(*action.body[a], st, subs[m], &evals[m][a]);
-      }
-    });
-  }
-  ++stats_.parallel_forks;
-  stats_.parallel_member_tasks += tasks.size();
-  pool_->RunAll(std::move(tasks));
-  for (size_t m = 0; m < subs.size(); ++m) {
-    for (size_t a = 0; a < action.body.size(); ++a) {
-      SOREL_RETURN_IF_ERROR(ApplyBodyAction(*action.body[a], evals[m][a]));
     }
   }
   return Status::Ok();
@@ -628,8 +387,7 @@ Status RhsExecutor::DoForeach(const Action& action, ExecState* state) {
     state->fixed_positions().insert(elem_pos);
   }
 
-  // Per-member sub-selections, in iteration order.
-  std::vector<std::vector<size_t>> subs;
+  Status status = Status::Ok();
   if (info->kind == VarInfo::Kind::kElement) {
     // Iterate over distinct WMEs ("imagine iterating over distinct
     // time-tags", §6.2).
@@ -659,7 +417,9 @@ Status RhsExecutor::DoForeach(const Action& action, ExecState* state) {
           sub.push_back(i);
         }
       }
-      subs.push_back(std::move(sub));
+      *state->mutable_selection() = std::move(sub);
+      status = ExecuteList(action.body, state);
+      if (!status.ok() || state->halted) break;
     }
   } else {
     // Iterate over the distinct values of the PV's domain (§6.1). Default
@@ -686,15 +446,6 @@ Status RhsExecutor::DoForeach(const Action& action, ExecState* state) {
           sub.push_back(i);
         }
       }
-      subs.push_back(std::move(sub));
-    }
-  }
-
-  Status status = Status::Ok();
-  if (BodyIsParallelizable(action.body) && ShouldParallelize(subs.size())) {
-    status = ForeachMembersParallel(action, state, subs);
-  } else {
-    for (std::vector<size_t>& sub : subs) {
       *state->mutable_selection() = std::move(sub);
       status = ExecuteList(action.body, state);
       if (!status.ok() || state->halted) break;

@@ -16,8 +16,6 @@
 
 namespace sorel {
 
-class ThreadPool;
-
 /// Executes the RHS of a firing instantiation (§6): regular actions,
 /// set-oriented `set-modify`/`set-remove`, and the compositional `foreach`
 /// iterator over set-oriented PVs and CEs, including nested iteration,
@@ -47,10 +45,6 @@ class RhsExecutor {
     uint64_t wmes_made = 0;
     uint64_t wmes_removed = 0;
     uint64_t skipped_dead_targets = 0;  // modify/remove of dead WMEs
-    /// Set-modify / foreach actions whose member expressions were evaluated
-    /// on the worker pool (parallel RHS), and the member tasks dispatched.
-    uint64_t parallel_forks = 0;
-    uint64_t parallel_member_tasks = 0;
   };
 
   /// `metrics` / `tracer` (borrowed, may be null) hook the executor into
@@ -78,35 +72,12 @@ class RhsExecutor {
   /// Enables per-firing / per-action WM transactions (see class comment).
   void set_transactional(bool on) { transactional_ = on; }
   bool transactional() const { return transactional_; }
-  /// Parallel RHS (EngineOptions::parallel_rhs): with a pool and the flag
-  /// on, the per-member expression evaluations of a set-modify (and of a
-  /// foreach whose body is only make/modify/remove) fork onto the pool;
-  /// the members' WM effects then apply serially in member order with the
-  /// sequential path's exact transaction bracketing, so WM contents,
-  /// Status, and counters other than the parallel_* stats are unchanged.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
-  void set_parallel(bool on) { parallel_ = on; }
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = {}; }
 
  private:
   class ExecState;
   class RhsEvalContext;
-  /// Pre-evaluated effects of one body action for one member (parallel
-  /// RHS): the resolved target, the evaluated values, and the first error
-  /// each evaluation stage hit, recorded separately so the serial apply
-  /// loop can reproduce the sequential check order (target resolution →
-  /// liveness → expression/attribute errors) exactly.
-  struct ActionEval;
-
-  /// True when `members` member evaluations should fork onto the pool.
-  bool ShouldParallelize(size_t members) const {
-    return parallel_ && pool_ != nullptr && members >= 2;
-  }
-  /// True when every action in `body` is make/modify/remove — the forms
-  /// whose evaluation reads only the frozen row snapshot, making member
-  /// evaluations independent.
-  static bool BodyIsParallelizable(const std::vector<ActionPtr>& body);
 
   Status ExecuteList(const std::vector<ActionPtr>& actions, ExecState* state);
   Status Execute(const Action& action, ExecState* state);
@@ -118,28 +89,6 @@ class RhsExecutor {
   Status DoSetModifyOrRemove(const Action& action, ExecState* state);
   Status DoWrite(const Action& action, ExecState* state);
   Status DoForeach(const Action& action, ExecState* state);
-  /// Parallel member evaluation for a set-modify over `targets` (runs
-  /// inside the action's transaction; the serial apply mirrors the
-  /// sequential loop).
-  Status DoSetModifyParallel(const Action& action, ExecState* state,
-                             const std::vector<WmePtr>& targets);
-  /// Parallel member evaluation for an eligible foreach: `subs` holds the
-  /// per-member sub-selections in iteration order.
-  Status ForeachMembersParallel(const Action& action, ExecState* state,
-                                const std::vector<std::vector<size_t>>& subs);
-  /// Evaluates one make/modify/remove for one member's sub-selection — the
-  /// pure half of the action, safe to run on a pool worker.
-  void EvaluateBodyAction(const Action& action, const ExecState& state,
-                          const std::vector<size_t>& selection,
-                          ActionEval* out) const;
-  /// Evaluates a modify's assigns against `out->target`'s snapshot with the
-  /// sequential per-assign expression → attribute-lookup order.
-  void EvaluateModifyAssigns(const Action& action, const ExecState& state,
-                             const std::vector<size_t>& selection,
-                             ActionEval* out) const;
-  /// Applies one pre-evaluated body action (the WM-mutating half), with
-  /// the same transaction bracketing, stats, and error order as Execute.
-  Status ApplyBodyAction(const Action& action, const ActionEval& eval);
   /// remove+make with updated fields (OPS5 modify: fresh time tag).
   Status ModifyWme(const Wme& old, const Action& action, ExecState* state);
   Status RemoveIfLive(TimeTag tag);
@@ -148,8 +97,6 @@ class RhsExecutor {
   SymbolTable* symbols_;
   std::ostream* out_;
   bool transactional_ = false;
-  ThreadPool* pool_ = nullptr;  // borrowed; may be null
-  bool parallel_ = false;
   obs::MetricRegistry* metrics_ = nullptr;  // borrowed; may be null
   obs::Tracer* tracer_ = nullptr;           // borrowed; may be null
   Stats stats_;

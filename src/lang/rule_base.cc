@@ -93,35 +93,17 @@ size_t NetworkTopology::MemoryBytes() const {
 
 // ------------------------------------------------------------- rule base ---
 
-uint64_t CompiledRuleBase::Fingerprint(std::string_view source,
-                                       const RuleBaseConfig& config) {
-  // FNV-1a 64: stable, dependency-free, and cheap — collisions across the
-  // handful of rule sources one server instance loads are not a concern.
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint8_t byte) {
-    h ^= byte;
-    h *= 0x100000001b3ull;
-  };
-  for (char c : source) mix(static_cast<uint8_t>(c));
-  mix(static_cast<uint8_t>(config.join_order));
-  mix(static_cast<uint8_t>(config.reorder_at_load));
-  return h;
-}
-
-Result<RuleBasePtr> CompiledRuleBase::Compile(std::string source,
-                                              RuleBaseConfig config) {
+Result<RuleBasePtr> CompiledRuleBase::Compile(std::string source) {
   // shared_ptr<const ...> via a mutable local: the object is only written
   // here, before anyone else can see it.
   std::shared_ptr<CompiledRuleBase> base(new CompiledRuleBase());
   base->source_ = std::move(source);
-  base->config_ = config;
-  base->fingerprint_ = Fingerprint(base->source_, config);
 
-  // The same sequence as Engine::LoadString on a fresh engine: parse,
-  // declare, compile each rule (duplicate-name check), optional load-time
-  // CE pre-reordering, then resolve the startup actions. Running it here
-  // once instead of once per session is the whole point; keeping the order
-  // identical is what makes a bound session bit-identical to a private one.
+  // The same sequence as Engine::LoadString on a fresh engine with textual
+  // join order: parse, declare, compile each rule (duplicate-name check),
+  // then resolve the startup actions. Running it here once instead of once
+  // per session is the whole point; keeping the order identical is what
+  // makes a bound session bit-identical to a private one.
   SOREL_ASSIGN_OR_RETURN(ProgramAst program, Parse(base->source_));
   RuleCompiler compiler(&base->symbols_, &base->schemas_);
   for (const LiteralizeAst& lit : program.literalizes) {
@@ -134,14 +116,6 @@ Result<RuleBasePtr> CompiledRuleBase::Compile(std::string source,
     }
     SOREL_ASSIGN_OR_RETURN(CompiledRulePtr rule,
                            compiler.Compile(std::move(rule_ast)));
-    if (config.join_order == JoinOrder::kOptimized && config.reorder_at_load &&
-        !rule->has_set) {
-      // Compile-time WM is empty, so EstimateCards falls back to the static
-      // test-count heuristic — the estimates (and the order) every session
-      // loading rules before data would have derived.
-      JoinOrderResult r = OptimizeJoinOrder(*rule, EstimateCards(*rule, {}));
-      if (r.reordered) ReorderRuleInPlace(rule.get(), r.order);
-    }
     base->topology_.AddRule(rule.get());
     base->rules_.push_back(std::move(rule));
   }

@@ -1,7 +1,6 @@
 #ifndef SOREL_LANG_RULE_BASE_H_
 #define SOREL_LANG_RULE_BASE_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -12,7 +11,6 @@
 #include "base/symbol_table.h"
 #include "lang/ast.h"
 #include "lang/compiled_rule.h"
-#include "lang/join_order.h"
 #include "wm/schema.h"
 #include "wm/wme.h"
 
@@ -83,30 +81,13 @@ class NetworkTopology {
       by_rule_;
 };
 
-/// Compile-time knobs that change the compiled artifact itself (and hence
-/// the sharing fingerprint). Kept free of engine-level concepts: two
-/// sessions differing only in runtime options (matcher kind, threads,
-/// strategy, tracing) share one base.
-struct RuleBaseConfig {
-  /// Join-order policy the artifact was compiled for (kOptimized plans are
-  /// consumed at run time by the plan matcher; see `reorder_at_load` for
-  /// the Rete/TREAT load-time rewrite).
-  JoinOrder join_order = JoinOrder::kTextual;
-  /// Apply the cost-guided CE pre-reordering pass (ReorderRuleInPlace) to
-  /// tuple-oriented rules at compile time — what Engine::LoadString does
-  /// for kRete/kTreat with join_order == kOptimized. Compile-time WM is
-  /// empty, so the estimates use the static test-count heuristic, exactly
-  /// as a fresh session's load did.
-  bool reorder_at_load = false;
-};
-
 /// The immutable compiled artifact of one rule source: parsed + compiled
-/// rules (with any load-time join reordering already applied), the symbol
-/// table and schema registry they were compiled against, the startup
-/// actions, and the deduplicated alpha-pattern topology. Produced once per
-/// (source, config) fingerprint and shared — `EngineServer` holds a
-/// registry of these, and every session binding to one instantiates only
-/// its private match state (alpha columns, token arenas, conflict set).
+/// rules in textual CE order, the symbol table and schema registry they
+/// were compiled against, the startup actions, and the deduplicated
+/// alpha-pattern topology. Compiled once and shared — `EngineServer`
+/// compiles its one source at startup, and every session binding to it
+/// instantiates only its private match state (alpha columns, token arenas,
+/// conflict set).
 ///
 /// Thread safety: a CompiledRuleBase is deeply const after Compile returns
 /// (no mutable members, no caches), so any number of sessions may read it
@@ -116,17 +97,9 @@ class CompiledRuleBase {
   /// Parses and compiles `source`. The returned base is immutable and
   /// shareable; compilation errors come back as the usual lang statuses.
   static Result<std::shared_ptr<const CompiledRuleBase>> Compile(
-      std::string source, RuleBaseConfig config = {});
-
-  /// FNV-1a over the source text and the config bits — the sharing key.
-  /// Stable across processes (used to key the server's base registry and
-  /// to name nothing on disk; snapshots still carry the full source).
-  static uint64_t Fingerprint(std::string_view source,
-                              const RuleBaseConfig& config);
+      std::string source);
 
   const std::string& source() const { return source_; }
-  const RuleBaseConfig& config() const { return config_; }
-  uint64_t fingerprint() const { return fingerprint_; }
   const SymbolTable& symbols() const { return symbols_; }
   const SchemaRegistry& schemas() const { return schemas_; }
   const std::vector<CompiledRulePtr>& rules() const { return rules_; }
@@ -138,16 +111,14 @@ class CompiledRuleBase {
   const CompiledRule* FindRule(std::string_view name) const;
 
   /// Estimated bytes of the shared artifact (source, rules, topology) —
-  /// what N sessions *don't* pay N times; feeds the
-  /// `server.shared_network_bytes` gauge.
+  /// what N sessions *don't* pay N times; feeds each bound engine's
+  /// `engine.rule_base_bytes` gauge.
   size_t MemoryBytes() const;
 
  private:
   CompiledRuleBase() = default;
 
   std::string source_;
-  RuleBaseConfig config_;
-  uint64_t fingerprint_ = 0;
   SymbolTable symbols_;
   SchemaRegistry schemas_;
   std::vector<CompiledRulePtr> rules_;

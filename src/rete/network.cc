@@ -462,13 +462,19 @@ void PNode::OnToken(Token* token, bool added) {
 // -------------------------------------------------------------- matcher ---
 
 ReteMatcher::ReteMatcher(WorkingMemory* wm, ConflictSet* cs,
-                         SinkFactory sink_factory, ReteOptions options)
+                         SinkFactory sink_factory, ReteOptions options,
+                         ThreadPool* pool, obs::MetricRegistry* metrics,
+                         obs::Tracer* tracer, const NetworkTopology* topology)
     : wm_(wm),
       cs_(cs),
       sink_factory_(std::move(sink_factory)),
-      options_(options) {
+      options_(options),
+      pool_(pool),
+      metrics_(metrics),
+      tracer_(tracer),
+      topology_(topology) {
   wm_->AddListener(this);
-  if (obs::MetricRegistry* m = options_.metrics; m != nullptr) {
+  if (obs::MetricRegistry* m = metrics_; m != nullptr) {
     m->RegisterCounter(this, "rete.join_attempts",
                        [this] { return stats_.join_attempts; });
     m->RegisterCounter(this, "rete.index_probes",
@@ -516,7 +522,7 @@ ReteMatcher::ReteMatcher(WorkingMemory* wm, ConflictSet* cs,
 }
 
 ReteMatcher::~ReteMatcher() {
-  if (options_.metrics != nullptr) options_.metrics->Unregister(this);
+  if (metrics_ != nullptr) metrics_->Unregister(this);
   wm_->RemoveListener(this);
   // Token teardown is structural: every token — live or recycled — sits in
   // its shard's arena, and the arenas die with rule_shards_. (The PR 4
@@ -744,8 +750,7 @@ Status ReteMatcher::AddRule(const CompiledRule* rule) {
   shard->ordinal = shards_.size();
   // Build the linear beta chain.
   const std::vector<const AlphaPattern*>* bound =
-      options_.topology != nullptr ? options_.topology->PatternsFor(rule)
-                                   : nullptr;
+      topology_ != nullptr ? topology_->PatternsFor(rule) : nullptr;
   std::vector<BetaNode*> chain;
   BetaNode* prev = nullptr;
   for (const CompiledCondition& cond : rule->conditions) {
@@ -981,7 +986,7 @@ void ReteMatcher::AlphaExitBatch::Commit() {
 
 void ReteMatcher::OnBatch(const ChangeBatch& batch) {
   obs::ScopedTimer timer(match_timer_);
-  if (options_.pool != nullptr) {
+  if (pool_ != nullptr) {
     OnBatchParallel(batch);
     return;
   }
@@ -1074,11 +1079,11 @@ void ReteMatcher::OnBatchParallel(const ChangeBatch& batch) {
   for (RuleShard* s : shards_) {
     if (touched[s->ordinal] != 0) targets.push_back(s);
   }
-  if (options_.tracer != nullptr && options_.tracer->enabled()) {
+  if (tracer_ != nullptr && tracer_->enabled()) {
     for (RuleShard* s : targets) {
-      options_.tracer->Emit(obs::TraceEvent("rule_replay")
-                                .Str("rule", s->rule->name)
-                                .Num("changes", changes.size()));
+      tracer_->Emit(obs::TraceEvent("rule_replay")
+                        .Str("rule", s->rule->name)
+                        .Num("changes", changes.size()));
     }
   }
   if (!targets.empty()) {
@@ -1096,7 +1101,7 @@ void ReteMatcher::OnBatchParallel(const ChangeBatch& batch) {
           ReplayShard(targets[i], changes, plan, &deltas[i], &ctxs[i]);
         });
       }
-      options_.pool->RunAll(std::move(tasks));
+      pool_->RunAll(std::move(tasks));
     }
     // --- Phase C: deterministic merge, registration order. ---
     for (ReplayCtx& ctx : ctxs) MergeCtx(&ctx);

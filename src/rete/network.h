@@ -33,26 +33,6 @@ struct ReteOptions {
   /// kept as the ablation baseline for bench_fig3_snode and
   /// bench_workload_seating.
   bool use_indexed_joins = true;
-  /// Worker pool for parallel ChangeBatch propagation (borrowed, may be
-  /// null). With a pool, OnBatch runs the shared alpha phase sequentially
-  /// and fans the per-rule beta replays out as pool tasks; conflict-set
-  /// sends are buffered per rule and merged deterministically, so the
-  /// observable behavior stays bit-identical to the sequential path.
-  ThreadPool* pool = nullptr;
-  /// Observability hooks (borrowed, may be null): the registry gets the
-  /// rete.* counters as views (plus the matcher's reset hook); the tracer
-  /// receives rule_replay events on the parallel batch path.
-  obs::MetricRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
-  /// Shared compiled topology (borrowed, may be null). When set — an Engine
-  /// bound to a CompiledRuleBase — AddRule resolves each CE's alpha pattern
-  /// by pointer out of the topology instead of copying tests into the
-  /// memory, so N sessions share one immutable pattern set and each
-  /// AlphaMemory holds only its private item storage. Null keeps the
-  /// self-contained path: the matcher derives (and owns) patterns from the
-  /// conditions it sees. Both paths dedup structurally in first-use order,
-  /// so network shape and traces are bit-identical.
-  const NetworkTopology* topology = nullptr;
 };
 
 /// Hot-path counters for the match network (see docs/INTERNALS.md,
@@ -424,7 +404,7 @@ using SinkFactory =
 /// The extended Rete network of §5: shared alpha memories, per-rule join
 /// chains, negative nodes, and pluggable terminals.
 ///
-/// Threading model (ReteOptions::pool set): OnBatch splits into three
+/// Threading model (with a worker pool): OnBatch splits into three
 /// phases. Phase A (coordinator) walks the batch once, inserting every add
 /// into its alpha memories and recording a per-change replay plan; removed
 /// WMEs stay physically present but are marked in `replay_removed_`. Phase
@@ -440,8 +420,26 @@ class ReteMatcher : public Matcher {
  public:
   /// `sink_factory` may be null, in which case every rule gets a plain
   /// PNode (set-oriented rules are then rejected by AddRule).
+  ///
+  /// The remaining parameters are borrowed and may be null:
+  /// - `pool`: worker pool for parallel ChangeBatch propagation (see the
+  ///   class comment); null keeps the sequential path.
+  /// - `metrics` gets the rete.* counters as views (plus the matcher's
+  ///   reset hook); `tracer` receives rule_replay events on the parallel
+  ///   batch path.
+  /// - `topology`: the shared compiled topology of an Engine bound to a
+  ///   CompiledRuleBase. AddRule then resolves each CE's alpha pattern by
+  ///   pointer out of the topology instead of copying tests into the
+  ///   memory, so N sessions share one immutable pattern set and each
+  ///   AlphaMemory holds only its private item storage. Null keeps the
+  ///   self-contained path: the matcher derives (and owns) patterns from
+  ///   the conditions it sees. Both paths dedup structurally in first-use
+  ///   order, so network shape and traces are bit-identical.
   ReteMatcher(WorkingMemory* wm, ConflictSet* cs, SinkFactory sink_factory,
-              ReteOptions options = {});
+              ReteOptions options = {}, ThreadPool* pool = nullptr,
+              obs::MetricRegistry* metrics = nullptr,
+              obs::Tracer* tracer = nullptr,
+              const NetworkTopology* topology = nullptr);
   ~ReteMatcher() override;
 
   ReteMatcher(const ReteMatcher&) = delete;
@@ -635,7 +633,7 @@ class ReteMatcher : public Matcher {
 
   /// The sequential OnBatch body.
   void OnBatchSequential(const ChangeBatch& batch);
-  /// The three-phase parallel OnBatch body (requires options_.pool).
+  /// The three-phase parallel OnBatch body (requires pool_).
   void OnBatchParallel(const ChangeBatch& batch);
   /// Phase B task: replays the whole change sequence against one shard.
   void ReplayShard(RuleShard* shard, const std::vector<WmChange>& changes,
@@ -653,7 +651,7 @@ class ReteMatcher : public Matcher {
   SinkFactory sink_factory_;
   std::unordered_map<SymbolId, std::vector<std::unique_ptr<AlphaMemory>>>
       alphas_by_class_;
-  /// Patterns this matcher derived itself (options_.topology unset); a
+  /// Patterns this matcher derived itself (topology_ unset); a
   /// bound matcher borrows the shared topology's patterns instead and
   /// leaves this empty.
   std::vector<std::unique_ptr<AlphaPattern>> owned_patterns_;
@@ -679,6 +677,10 @@ class ReteMatcher : public Matcher {
   /// carry their own copy in ReplayCtx::removing_tag.
   TimeTag removing_tag_ = 0;
   ReteOptions options_;
+  ThreadPool* pool_;                 // borrowed; may be null
+  obs::MetricRegistry* metrics_;     // borrowed; may be null
+  obs::Tracer* tracer_;              // borrowed; may be null
+  const NetworkTopology* topology_;  // borrowed; may be null
   ReteStats stats_;
   /// "phase.match" scope timer, non-null only when the registry has timing
   /// enabled (EngineOptions::enable_timers).

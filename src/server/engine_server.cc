@@ -78,14 +78,27 @@ Status ArgInt(const obs::JsonValue& req, std::string_view cmd,
   return Status::Ok();
 }
 
-/// A protocol time tag: a decimal string (exact) or a JSON number.
+/// A protocol time tag: a decimal string (exact) or a JSON number. A
+/// number that is non-integral or outside TimeTag's range is
+/// InvalidArgument, never a narrowing cast; whether an in-range tag names
+/// a live WME is left to the command (NotFound).
 Result<TimeTag> ArgTag(const obs::JsonValue& req, std::string_view key) {
   const obs::JsonValue* v = req.Find(key);
   if (v == nullptr) {
     return Status::InvalidArgument("missing argument '" + std::string(key) +
                                    "'");
   }
-  if (v->is_number()) return static_cast<TimeTag>(v->number);
+  if (v->is_number()) {
+    // -2^63 is exact as a double, so [lo, -lo) is exactly TimeTag's range.
+    constexpr double lo =
+        static_cast<double>(std::numeric_limits<TimeTag>::min());
+    double d = v->number;
+    if (!(d >= lo && d < -lo) || d != std::floor(d)) {
+      return Status::InvalidArgument("argument '" + std::string(key) +
+                                     "' must be an integer in int64 range");
+    }
+    return static_cast<TimeTag>(d);
+  }
   if (v->is_string()) return DecodeTag(*v);
   return Status::InvalidArgument("argument '" + std::string(key) +
                                  "' is not a tag");
@@ -182,9 +195,8 @@ std::string GaugeToString(double value) {
 
 }  // namespace
 
-EngineServer::EngineServer(std::string rules_source,
-                           EngineServerOptions options)
-    : rules_source_(std::move(rules_source)), options_(std::move(options)) {}
+EngineServer::EngineServer(EngineServerOptions options)
+    : options_(std::move(options)) {}
 
 EngineServer::~EngineServer() = default;
 
@@ -196,14 +208,12 @@ Result<std::unique_ptr<EngineServer>> EngineServer::Create(
                                 options.data_dir +
                                 "': " + std::strerror(errno));
   }
-  std::unique_ptr<EngineServer> server(
-      new EngineServer(std::move(rules_source), std::move(options)));
+  std::unique_ptr<EngineServer> server(new EngineServer(std::move(options)));
   // Compile the shared rule base once up front: a broken rule base should
   // fail server start, not every later `open` — and every session binds
   // this one artifact instead of recompiling.
   SOREL_ASSIGN_OR_RETURN(server->base_,
-                         CompiledRuleBase::Compile(server->rules_source_));
-  server->bases_[server->base_->fingerprint()] = server->base_;
+                         CompiledRuleBase::Compile(std::move(rules_source)));
   for (const CompiledRulePtr& rule : server->base_->rules()) {
     server->rule_names_.push_back(rule->name);
   }
@@ -216,22 +226,10 @@ Session* EngineServer::FindSession(const std::string& name) {
   return it == slots_.end() ? nullptr : it->second->session.get();
 }
 
-size_t EngineServer::shared_network_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t total = 0;
-  for (const auto& [fp, weak] : bases_) {
-    if (RuleBasePtr base = weak.lock()) total += base->MemoryBytes();
-  }
-  return total;
-}
-
 void EngineServer::InstallGauges(Session* session) {
   obs::MetricRegistry& metrics = session->engine().metrics();
   metrics.RegisterGauge(this, "server.sessions_resident", [this] {
     return static_cast<double>(resident_.load(std::memory_order_relaxed));
-  });
-  metrics.RegisterGauge(this, "server.shared_network_bytes", [this] {
-    return static_cast<double>(shared_network_bytes());
   });
 }
 

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -42,9 +41,9 @@ struct EngineServerOptions {
 
 /// A multi-session rule service: N independent sessions — each its own
 /// working memory, conflict set, and WAL — all bound to ONE shared
-/// compiled rule base (parse, compiled rules, optimized join orders, and
-/// network topology are produced once per rule-source fingerprint and
-/// shared read-only), driven over a line-oriented JSON protocol. One
+/// compiled rule base (parse, compiled rules, and network topology are
+/// produced once at server start and shared read-only), driven over a
+/// line-oriented JSON protocol. One
 /// request line in, exactly one response line out:
 ///
 ///   {"cmd":"open","session":"s1","matcher":"rete"}
@@ -101,10 +100,6 @@ class EngineServer {
   int sessions_resident() const {
     return resident_.load(std::memory_order_relaxed);
   }
-  /// Value of the server.shared_network_bytes gauge: bytes of every live
-  /// compiled rule base in the registry (shared across all bound sessions,
-  /// counted once here rather than per session).
-  size_t shared_network_bytes() const;
 
  private:
   /// One session name's lifetime: the slot survives eviction (the session
@@ -121,14 +116,15 @@ class EngineServer {
     std::atomic<bool> closed{false};
   };
 
-  EngineServer(std::string rules_source, EngineServerOptions options);
+  explicit EngineServer(EngineServerOptions options);
 
   std::string CmdOpen(const obs::JsonValue& req);
   /// Re-materializes an evicted slot's session from snapshot + WAL.
   /// Requires slot->mu held.
   Status Reopen(const std::string& name, Slot* slot);
-  /// Registers the server-level gauges into a freshly (re)opened session's
-  /// engine registry, so they show up in `metrics` and Profile() output.
+  /// Registers the server.sessions_resident gauge into a freshly
+  /// (re)opened session's engine registry, so it shows up in `metrics` and
+  /// Profile() output.
   void InstallGauges(Session* session);
   /// Checkpoints and releases LRU idle sessions until the resident count
   /// is back under the cap (or no candidate is evictable). `keep` is the
@@ -136,10 +132,9 @@ class EngineServer {
   /// server mutex; may hold keep->mu.
   void MaybeEvict(Slot* keep);
 
-  std::string rules_source_;
   EngineServerOptions options_;
   std::vector<std::string> rule_names_;
-  /// The base every session binds to (also pinned in bases_).
+  /// The base every session binds to.
   RuleBasePtr base_;
 
   // Declared before slots_ so the slots (whose gauge lambdas read them)
@@ -148,10 +143,7 @@ class EngineServer {
   std::atomic<uint64_t> clock_{0};
   std::atomic<bool> shutdown_{false};
 
-  mutable std::mutex mu_;
-  /// Compiled rule bases by source fingerprint. Weak: a base dies with its
-  /// last bound session (or the server's own pin for the default base).
-  std::unordered_map<uint64_t, std::weak_ptr<const CompiledRuleBase>> bases_;
+  std::mutex mu_;
   std::map<std::string, std::shared_ptr<Slot>> slots_;
 };
 

@@ -4,11 +4,11 @@
 // aggregates and :scalar, set-modify / set-remove / foreach RHS) and random
 // WM schedules drive pairs of engines that must agree:
 //
-//   1. Within one matcher, every parallel configuration — match_threads,
-//      intra_rule_split_min_tokens, parallel_rhs, each × batched_wm — must
-//      be bit-identical to the single-threaded baseline: same firing trace
-//      and write output, same conflict set after every op, same final WM
-//      dump and time-tag counter, same error text.
+//   1. Within one matcher, every parallel configuration — match_threads and
+//      intra_rule_split_min_tokens, each × batched_wm — must be
+//      bit-identical to the single-threaded baseline: same firing trace and
+//      write output, same conflict set after every op, same final WM dump
+//      and time-tag counter, same error text.
 //   2. Across matchers (Rete vs TREAT vs DIPS), match-only schedules must
 //      produce the same canonical conflict-set fingerprint and WM state.
 //      (Firing schedules are not compared across matchers: conflict-
@@ -51,7 +51,6 @@ struct FuzzConfig {
   int threads = 0;
   bool batched = true;
   int intra_split = 0;
-  bool parallel_rhs = false;
   bool indexed_cs = true;
   JoinOrder join_order = JoinOrder::kTextual;
 
@@ -64,7 +63,6 @@ struct FuzzConfig {
            " threads=" + std::to_string(threads) +
            " batched=" + std::to_string(batched) +
            " intra_split=" + std::to_string(intra_split) +
-           " parallel_rhs=" + std::to_string(parallel_rhs) +
            " indexed_cs=" + std::to_string(indexed_cs) +
            " join_order=" +
            (join_order == JoinOrder::kTextual ? "textual" : "optimized");
@@ -170,7 +168,6 @@ FuzzResult RunSchedule(const FuzzProgram& program,
   opts.batched_wm = config.batched;
   opts.match_threads = config.threads;
   opts.intra_rule_split_min_tokens = config.intra_split;
-  opts.parallel_rhs = config.parallel_rhs;
   opts.indexed_conflict_set = config.indexed_cs;
   opts.join_order = config.join_order;
   std::ostringstream events;
@@ -326,26 +323,24 @@ void CheckConfigSweep(MatcherKind matcher, unsigned seed) {
 
   for (Strategy strategy : {Strategy::kLex, Strategy::kMea}) {
     for (bool batched : {true, false}) {
-      FuzzConfig base{matcher, strategy, 0, batched, 0, false};
+      FuzzConfig base{matcher, strategy, 0, batched, 0};
       FuzzResult base_result = RunSchedule(program, schedule, base);
       // Generated programs must always load — a load failure here is a
       // generator bug, not a divergence.
       ASSERT_EQ(base_result.load_error, "")
           << "seed " << seed << "\n" << program.Source();
       std::vector<FuzzConfig> variants = {
-          {matcher, strategy, 4, batched, 0, false},
-          {matcher, strategy, 4, batched, 2, false},
-          {matcher, strategy, 4, batched, 2, true},
-          {matcher, strategy, 0, batched, 0, true},
-          {matcher, strategy, 0, batched, 0, false, /*indexed_cs=*/false},
+          {matcher, strategy, 4, batched, 0},
+          {matcher, strategy, 4, batched, 2},
+          {matcher, strategy, 0, batched, 0, /*indexed_cs=*/false},
       };
       if (matcher == MatcherKind::kPlan) {
         // The cost-chosen execution order must be unobservable: emission
         // is canonicalized, so optimized plans (serial and parallel) stay
         // bit-identical to the textual-order baseline.
-        variants.push_back({matcher, strategy, 0, batched, 0, false,
+        variants.push_back({matcher, strategy, 0, batched, 0,
                             /*indexed_cs=*/true, JoinOrder::kOptimized});
-        variants.push_back({matcher, strategy, 4, batched, 0, false,
+        variants.push_back({matcher, strategy, 4, batched, 0,
                             /*indexed_cs=*/true, JoinOrder::kOptimized});
       }
       for (const FuzzConfig& variant : variants) {
@@ -377,20 +372,20 @@ void CheckRemoveHeavy(MatcherKind matcher, unsigned seed) {
 
   for (Strategy strategy : {Strategy::kLex, Strategy::kMea}) {
     for (bool batched : {true, false}) {
-      FuzzConfig base{matcher, strategy, 0, batched, 0, false};
+      FuzzConfig base{matcher, strategy, 0, batched, 0};
       FuzzResult base_result = RunSchedule(program, schedule, base);
       ASSERT_EQ(base_result.load_error, "")
           << "seed " << seed << "\n" << program.Source();
       std::vector<FuzzConfig> variants = {
-          {matcher, strategy, 4, batched, 0, false},
-          {matcher, strategy, 4, batched, 2, true},
+          {matcher, strategy, 4, batched, 0},
+          {matcher, strategy, 4, batched, 2},
       };
       if (matcher == MatcherKind::kPlan) {
         // Optimized join order under retraction-heavy load: the unblock
         // re-searches and instantiation drops must stay bit-identical.
-        variants.push_back({matcher, strategy, 0, batched, 0, false,
+        variants.push_back({matcher, strategy, 0, batched, 0,
                             /*indexed_cs=*/true, JoinOrder::kOptimized});
-        variants.push_back({matcher, strategy, 4, batched, 0, false,
+        variants.push_back({matcher, strategy, 4, batched, 0,
                             /*indexed_cs=*/true, JoinOrder::kOptimized});
       }
       for (const FuzzConfig& variant : variants) {
@@ -419,11 +414,11 @@ void CheckCrossMatcher(unsigned seed) {
   FuzzConfig treat{MatcherKind::kTreat, strategy, 4};
   FuzzConfig dips{MatcherKind::kDips, strategy, 4};
   FuzzConfig plan{MatcherKind::kPlan, strategy, 4};
-  FuzzConfig rete_opt{MatcherKind::kRete, strategy, 0, true, 0, false,
+  FuzzConfig rete_opt{MatcherKind::kRete, strategy, 0, true, 0,
                       true, JoinOrder::kOptimized};
-  FuzzConfig treat_opt{MatcherKind::kTreat, strategy, 4, true, 0, false,
+  FuzzConfig treat_opt{MatcherKind::kTreat, strategy, 4, true, 0,
                        true, JoinOrder::kOptimized};
-  FuzzConfig plan_opt{MatcherKind::kPlan, strategy, 0, true, 0, false,
+  FuzzConfig plan_opt{MatcherKind::kPlan, strategy, 0, true, 0,
                       true, JoinOrder::kOptimized};
   // The reordered Rete/TREAT columns execute a rewritten rule whose token
   // positions are permuted, so their rows compare as multisets; the plan
@@ -462,16 +457,16 @@ void CheckPlanVsRete(unsigned seed, int neg_chance, int remove_pct) {
       fuzz::GenSchedule(rng, 28, true, remove_pct);
   for (Strategy strategy : {Strategy::kLex, Strategy::kMea}) {
     for (bool batched : {true, false}) {
-      FuzzConfig rete{MatcherKind::kRete, strategy, 0, batched, 0, false};
+      FuzzConfig rete{MatcherKind::kRete, strategy, 0, batched, 0};
       FuzzResult rete_result = RunSchedule(program, schedule, rete);
       ASSERT_EQ(rete_result.load_error, "")
           << "seed " << seed << "\n" << program.Source();
       FuzzConfig plans[] = {
-          {MatcherKind::kPlan, strategy, 0, batched, 0, false},
-          {MatcherKind::kPlan, strategy, 4, batched, 0, false},
-          {MatcherKind::kPlan, strategy, 0, batched, 0, false, true,
+          {MatcherKind::kPlan, strategy, 0, batched, 0},
+          {MatcherKind::kPlan, strategy, 4, batched, 0},
+          {MatcherKind::kPlan, strategy, 0, batched, 0, true,
            JoinOrder::kOptimized},
-          {MatcherKind::kPlan, strategy, 4, batched, 0, false, true,
+          {MatcherKind::kPlan, strategy, 4, batched, 0, true,
            JoinOrder::kOptimized},
       };
       for (const FuzzConfig& plan : plans) {
@@ -610,7 +605,7 @@ TEST(FuzzShrinker, ReducesScheduleAndKeepsDivergence) {
   FuzzRng shrink_rng(7);
   std::vector<FuzzOp> schedule = fuzz::GenSchedule(shrink_rng, 20, true);
   FuzzConfig a{MatcherKind::kRete, Strategy::kLex};
-  FuzzConfig b{MatcherKind::kRete, Strategy::kLex, 4, true, 2, true};
+  FuzzConfig b{MatcherKind::kRete, Strategy::kLex, 4, true, 2};
   // Identical configs modulo parallelism: no divergence, nothing to shrink.
   EXPECT_EQ(Check(program, schedule, a, b, Cmp::kFull), "");
 }

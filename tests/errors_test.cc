@@ -96,34 +96,25 @@ TEST(ErrorsTest, RuntimeErrorNamesTheLine) {
   EXPECT_NE(r.status().message().find("zero"), std::string::npos);
 }
 
-TEST(ErrorsTest, ParallelRhsErrorKeepsLineAndMessage) {
-  // The parallel RHS path pre-evaluates member expressions on the pool;
-  // the surfaced error must still be the sequential one — same code, same
-  // line, same text.
-  std::vector<std::string> statuses;
-  for (bool parallel : {false, true}) {
-    EngineOptions options;
-    options.parallel_rhs = parallel;
-    Engine engine(options);
-    std::ostringstream out;
-    engine.set_output(&out);
-    ASSERT_TRUE(engine
-                    .LoadString("(literalize m v)\n"
-                                "(p bad { [m ^v <x>] <P> }"
-                                " :test ((count <P>) >= 2)\n"
-                                " --> (foreach <P> (modify <P> ^v"
-                                " (<x> / 0))))")
-                    .ok());
-    ASSERT_TRUE(engine.MakeWme("m", {{"v", Value::Int(1)}}).ok());
-    ASSERT_TRUE(engine.MakeWme("m", {{"v", Value::Int(2)}}).ok());
-    auto r = engine.Run();
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kRuntimeError);
-    EXPECT_NE(r.status().message().find("zero"), std::string::npos)
-        << r.status().ToString();
-    statuses.push_back(r.status().ToString());
-  }
-  EXPECT_EQ(statuses[0], statuses[1]);
+TEST(ErrorsTest, ForeachMemberErrorKeepsLineAndMessage) {
+  // An error in one foreach member's modify surfaces with its code, its
+  // source line and its text.
+  Engine engine;
+  std::ostringstream out;
+  engine.set_output(&out);
+  ASSERT_TRUE(engine
+                  .LoadString("(literalize m v)\n"
+                              "(p bad { [m ^v <x>] <P> }"
+                              " :test ((count <P>) >= 2)\n"
+                              " --> (foreach <P> (modify <P> ^v"
+                              " (<x> / 0))))")
+                  .ok());
+  ASSERT_TRUE(engine.MakeWme("m", {{"v", Value::Int(1)}}).ok());
+  ASSERT_TRUE(engine.MakeWme("m", {{"v", Value::Int(2)}}).ok());
+  auto r = engine.Run();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kRuntimeError);
+  EXPECT_EQ(r.status().ToString(), "RuntimeError: line 3: division by zero");
 }
 
 TEST(ErrorsTest, StatusToStringFormats) {

@@ -91,7 +91,6 @@ struct ParConfig {
   int threads = 0;
   bool batched = true;
   int intra_split = 0;    // EngineOptions::intra_rule_split_min_tokens
-  bool parallel_rhs = false;
 };
 
 /// Drives a single-threaded and a parallel-configured engine through the
@@ -105,7 +104,6 @@ void CheckEquivalence(MatcherKind matcher, Strategy strategy,
   SCOPED_TRACE("threads=" + std::to_string(threads) +
                " batched=" + std::to_string(batched) +
                " intra_split=" + std::to_string(config.intra_split) +
-               " parallel_rhs=" + std::to_string(config.parallel_rhs) +
                " seed=" + std::to_string(seed));
   std::ostringstream seq_trace, par_trace;
   EngineOptions seq_opts, par_opts;
@@ -116,7 +114,6 @@ void CheckEquivalence(MatcherKind matcher, Strategy strategy,
   seq_opts.match_threads = 0;
   par_opts.match_threads = threads;
   par_opts.intra_rule_split_min_tokens = config.intra_split;
-  par_opts.parallel_rhs = config.parallel_rhs;
   Engine seq(seq_opts), par(par_opts);
   seq.set_output(&seq_trace);
   par.set_output(&par_trace);
@@ -180,14 +177,11 @@ void CheckAllConfigs(MatcherKind matcher, Strategy strategy, unsigned seed,
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
-  // Intra-rule slicing and parallel RHS, separately and together, and a
-  // parallel-RHS-only pool (no match threads).
+  // Intra-rule slicing (TREAT splits; the other matchers ignore the
+  // threshold).
   ParConfig extra[] = {
-      {4, true, 1, false},
-      {2, false, 2, false},
-      {2, true, 0, true},
-      {0, true, 0, true},
-      {4, true, 1, true},
+      {4, true, 1},
+      {2, false, 2},
   };
   for (const ParConfig& config : extra) {
     CheckEquivalence(matcher, strategy, config, seed, with_set_rules);
@@ -282,29 +276,6 @@ TEST(ParallelMatchEngaged, IntraRuleSplitRunsSlices) {
   Engine::MatchStats stats = engine.match_stats();
   EXPECT_GT(stats.treat.intra_splits, 0u);
   EXPECT_GT(stats.treat.intra_slice_tasks, stats.treat.intra_splits);
-}
-
-// Parallel RHS engages without match threads: the engine must still build
-// a pool and fork set-action member evaluations onto it.
-TEST(ParallelMatchEngaged, ParallelRhsForksWithoutMatchThreads) {
-  EngineOptions opts;
-  opts.parallel_rhs = true;
-  Engine engine(opts);
-  std::ostringstream sink;
-  engine.set_output(&sink);
-  MustLoad(engine, std::string(kSchema) + kSetRules);
-  // Scores must be distinct: the set aggregate runs over distinct projected
-  // values, so four copies of 5 sum to 5 and the :test never passes.
-  for (int i = 0; i < 4; ++i) {
-    MustMake(engine, "player", {{"name", engine.Sym("ann")},
-                                {"team", engine.Sym("A")},
-                                {"score", Value::Int(i + 1)}});
-  }
-  MustRun(engine, 8);
-  EXPECT_GT(engine.rhs_stats().parallel_forks, 0u);
-  EXPECT_GT(engine.rhs_stats().parallel_member_tasks, 0u);
-  EXPECT_GT(engine.match_stats().pool.threads, 0u);
-  EXPECT_GT(engine.match_stats().pool.tasks, 0u);
 }
 
 }  // namespace

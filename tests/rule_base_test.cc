@@ -133,22 +133,6 @@ TEST(RuleBaseTest, TopologySharesEqualAlphaPatterns) {
   EXPECT_EQ((*r1)[0], (*r2)[0]);
 }
 
-TEST(RuleBaseTest, FingerprintIsStableAndDiscriminating) {
-  RuleBaseConfig config;
-  uint64_t a = CompiledRuleBase::Fingerprint(kRules, config);
-  uint64_t b = CompiledRuleBase::Fingerprint(kRules, config);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, CompiledRuleBase::Fingerprint(kSetRules, config));
-  RuleBaseConfig reordered;
-  reordered.join_order = JoinOrder::kOptimized;
-  reordered.reorder_at_load = true;
-  EXPECT_NE(a, CompiledRuleBase::Fingerprint(kRules, reordered));
-
-  auto base = CompiledRuleBase::Compile(kRules, config);
-  ASSERT_TRUE(base.ok());
-  EXPECT_EQ((*base)->fingerprint(), a);
-}
-
 TEST(RuleBaseTest, CompileErrorsSurface) {
   EXPECT_FALSE(CompiledRuleBase::Compile("(p broken").ok());
   EXPECT_FALSE(CompiledRuleBase::Compile(R"(
@@ -267,37 +251,6 @@ TEST(RuleBaseTest, TreatRejectsSetRulesThroughBindStatus) {
   options.matcher = MatcherKind::kTreat;
   Engine engine(options, *base);
   EXPECT_FALSE(engine.bind_status().ok());
-}
-
-TEST(RuleBaseTest, CompileTimeReorderMatchesLoadTimeReorder) {
-  // A base compiled with reorder_at_load must bind into the same network
-  // a fresh engine builds when LoadString reorders against an empty WM.
-  RuleBaseConfig config;
-  config.join_order = JoinOrder::kOptimized;
-  config.reorder_at_load = true;
-  auto base = CompiledRuleBase::Compile(kRules, config);
-  ASSERT_TRUE(base.ok()) << base.status().ToString();
-
-  EngineOptions options;
-  options.matcher = MatcherKind::kRete;
-  options.join_order = JoinOrder::kOptimized;
-  options.trace_firings = true;
-
-  Engine solo(options);
-  std::ostringstream solo_out;
-  solo.set_output(&solo_out);
-  ASSERT_TRUE(solo.LoadString(kRules).ok());
-  Observed solo_seen = Drive(&solo, &solo_out);
-
-  Engine bound(options, *base);
-  ASSERT_TRUE(bound.bind_status().ok());
-  std::ostringstream bound_out;
-  bound.set_output(&bound_out);
-  Observed bound_seen = Drive(&bound, &bound_out);
-
-  EXPECT_EQ(solo_seen.dump, bound_seen.dump);
-  EXPECT_EQ(solo_seen.output, bound_seen.output);
-  EXPECT_EQ(solo_seen.counters, bound_seen.counters);
 }
 
 }  // namespace

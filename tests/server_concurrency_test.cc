@@ -97,7 +97,12 @@ TEST(ServerConcurrencyTest, SessionsShareOneCompiledBase) {
   EXPECT_EQ(server->rule_base().use_count(), pinned + 2);
   EXPECT_EQ(a->engine().rules()[0], b->engine().rules()[0]);
   EXPECT_EQ(server->sessions_resident(), 2);
-  EXPECT_EQ(server->shared_network_bytes(), shared->MemoryBytes());
+  // Each bound engine reports the one shared artifact's bytes.
+  for (Session* s : {a, b}) {
+    EXPECT_EQ(s->engine().metrics().SnapshotGauges().at(
+                  "engine.rule_base_bytes"),
+              static_cast<double>(shared->MemoryBytes()));
+  }
 
   // The gauges surface through the protocol metrics command.
   std::string metrics =
@@ -105,11 +110,10 @@ TEST(ServerConcurrencyTest, SessionsShareOneCompiledBase) {
   EXPECT_NE(metrics.find("\"server.sessions_resident\":\"2\""),
             std::string::npos)
       << metrics;
-  EXPECT_NE(metrics.find("\"server.shared_network_bytes\":\"" +
+  EXPECT_NE(metrics.find("\"engine.rule_base_bytes\":\"" +
                          std::to_string(shared->MemoryBytes()) + "\""),
             std::string::npos)
       << metrics;
-  EXPECT_NE(metrics.find("\"engine.rule_base_bytes\""), std::string::npos);
 }
 
 TEST(ServerConcurrencyTest, LruEvictionRoundTripsSessionState) {

@@ -110,6 +110,12 @@ const Step kScript[] = {
     {R"({"cmd":"run","session":"s2","max":-3})", ""},  // negative: unlimited
     // fsync_every 0 clamped to 1: one fsync per record.
     {R"({"cmd":"wal","session":"s2"})", ""},
+    // A numeric tag must be an integer in TimeTag's range; an in-range tag
+    // that names no live WME is still NotFound.
+    {R"({"cmd":"remove","session":"s2","tag":1e300})", "InvalidArgument"},
+    {R"({"cmd":"remove","session":"s2","tag":1e400})", "InvalidArgument"},
+    {R"({"cmd":"remove","session":"s2","tag":0.5})", "InvalidArgument"},
+    {R"({"cmd":"remove","session":"s2","tag":-1})", "NotFound"},
     {R"({"cmd":"close","session":"s2"})", ""},
     {R"({"cmd":"shutdown"})", ""},
 };
@@ -221,6 +227,42 @@ TEST(ServerProtocolTest, SessionsAreIsolatedOverTheProtocol) {
   // b's unrun instantiation sits in its conflict set, untouched by a's run.
   std::string cs_b = srv.HandleLine(R"({"cmd":"cs","session":"b"})");
   EXPECT_NE(cs_b.find("promote"), std::string::npos) << cs_b;
+}
+
+TEST(ServerProtocolTest, NumericTagsAreRangeChecked) {
+  TempDir dir;
+  EngineServerOptions options;
+  options.data_dir = dir.path();
+  auto server = EngineServer::Create(kRules, options);
+  ASSERT_TRUE(server.ok());
+  EngineServer& srv = **server;
+  ASSERT_NE(srv.HandleLine(R"({"cmd":"open","session":"s"})")
+                .find("\"ok\":true"),
+            std::string::npos);
+  std::string made = srv.HandleLine(
+      R"({"cmd":"make","session":"s","cls":"item","attrs":{"id":1,"cat":"Z"}})");
+  ASSERT_NE(made.find("\"tag\":\"1\""), std::string::npos) << made;
+  // Outside int64 (2^63 - 1 parses to 2^63 as a double), infinite, or
+  // fractional: rejected before any lookup, on remove and modify alike.
+  for (std::string tag : {"9223372036854775807", "1e19", "-1e19", "1e400",
+                          "-1e400", "1.5", "-0.25"}) {
+    std::string remove =
+        R"({"cmd":"remove","session":"s","tag":)" + tag + "}";
+    EXPECT_EQ(ResponseCode(srv.HandleLine(remove)), "InvalidArgument") << tag;
+    std::string modify = R"({"cmd":"modify","session":"s","tag":)" + tag +
+                         R"(,"attrs":{"id":2}})";
+    EXPECT_EQ(ResponseCode(srv.HandleLine(modify)), "InvalidArgument") << tag;
+  }
+  // In range: -2^63 and other dead tags are NotFound; a live one works.
+  EXPECT_EQ(ResponseCode(srv.HandleLine(
+                R"({"cmd":"remove","session":"s","tag":-9223372036854775808})")),
+            "NotFound");
+  EXPECT_EQ(ResponseCode(srv.HandleLine(
+                R"({"cmd":"remove","session":"s","tag":2})")),
+            "NotFound");
+  std::string removed =
+      srv.HandleLine(R"({"cmd":"remove","session":"s","tag":1.0})");
+  EXPECT_NE(removed.find("\"ok\":true"), std::string::npos) << removed;
 }
 
 }  // namespace

@@ -206,24 +206,20 @@ TEST(RhsRollbackTest, SetRemoveFollowedByErrorRollsBack) {
   EXPECT_EQ(snode->num_sois(), 1u);
 }
 
-// --- parallel RHS: bit-identical behavior, error paths included ----------
+// --- per-member set-oriented RHS: error paths and member order ----------
 
-/// Everything observable from one capped run of `rule` over items with the
-/// given scores, under sequential or parallel RHS execution.
+/// Everything observable from one run of `rule`, capped at `max_firings`,
+/// over items with the given scores.
 struct RhsOutcome {
   std::string status;  // "" = Run succeeded
   std::string before, after;  // WmFingerprint around the run
   uint64_t rollbacks = 0;
   uint64_t skipped_dead = 0;
-  uint64_t parallel_forks = 0;
-  uint64_t parallel_member_tasks = 0;
 };
 
 RhsOutcome RunRhs(const std::string& rule, const std::vector<int64_t>& scores,
-                  bool parallel) {
-  EngineOptions opts;
-  opts.parallel_rhs = parallel;
-  Engine engine(opts);
+                  int max_firings = 10) {
+  Engine engine;
   std::ostringstream devnull;
   engine.set_output(&devnull);
   MustLoad(engine, std::string(kItemSchema) + rule);
@@ -234,83 +230,72 @@ RhsOutcome RunRhs(const std::string& rule, const std::vector<int64_t>& scores,
   }
   RhsOutcome o;
   o.before = WmFingerprint(engine);
-  auto r = engine.Run(10);
+  auto r = engine.Run(max_firings);
   o.status = r.ok() ? "" : r.status().ToString();
   o.after = WmFingerprint(engine);
   o.rollbacks = engine.wm().stats().rollbacks;
   o.skipped_dead = engine.rhs_stats().skipped_dead_targets;
-  o.parallel_forks = engine.rhs_stats().parallel_forks;
-  o.parallel_member_tasks = engine.rhs_stats().parallel_member_tasks;
   return o;
 }
 
-TEST(ParallelRhsTest, ForeachKthMemberErrorMatchesSequential) {
+TEST(SetRhsMemberTest, ForeachKthMemberErrorRollsBackFiring) {
   // Member 2 (score 0) makes `(10 / <s>)` divide by zero after member 1
-  // was already modified: the whole firing must roll back, with the same
-  // Status text, in both execution modes.
-  const std::string rule =
+  // was already modified: the whole firing must roll back.
+  RhsOutcome o = RunRhs(
       "(p bump { [item ^score <s>] <P> } :test ((count <P>) >= 3) -->"
-      " (foreach <P> ascending (modify <P> ^score (10 / <s>))))";
-  RhsOutcome seq = RunRhs(rule, {5, 0, 2}, false);
-  RhsOutcome par = RunRhs(rule, {5, 0, 2}, true);
-  ASSERT_NE(seq.status, "");
-  EXPECT_NE(seq.status.find("zero"), std::string::npos) << seq.status;
-  EXPECT_EQ(par.status, seq.status);
-  EXPECT_EQ(seq.after, seq.before);
-  EXPECT_EQ(par.after, par.before);
-  EXPECT_GT(seq.rollbacks, 0u);
-  EXPECT_GT(par.rollbacks, 0u);
-  EXPECT_EQ(seq.parallel_forks, 0u);
-  EXPECT_GT(par.parallel_forks, 0u);
+      " (foreach <P> ascending (modify <P> ^score (10 / <s>))))",
+      {5, 0, 2});
+  ASSERT_NE(o.status, "");
+  EXPECT_NE(o.status.find("zero"), std::string::npos) << o.status;
+  EXPECT_EQ(o.after, o.before);
+  EXPECT_GT(o.rollbacks, 0u);
 }
 
-TEST(ParallelRhsTest, SetModifyMemberErrorMatchesSequential) {
-  // The set-modify expression errors identically for every member; the
-  // sequential path surfaces it on member 1 inside the action's single
-  // transaction — the parallel path must return the same Status and leave
-  // the same (untouched) WM.
-  const std::string rule =
+TEST(SetRhsMemberTest, SetModifyMemberErrorRollsBackAction) {
+  // The set-modify expression errors identically for every member; it
+  // surfaces on member 1 inside the action's single transaction and
+  // leaves the WM untouched.
+  RhsOutcome o = RunRhs(
       "(p zero { [item ^score <s>] <P> } :test ((sum <s>) > 0) -->"
-      " (set-modify <P> ^score ((sum <s>) / 0)))";
-  RhsOutcome seq = RunRhs(rule, {5, 6}, false);
-  RhsOutcome par = RunRhs(rule, {5, 6}, true);
-  ASSERT_NE(seq.status, "");
-  EXPECT_NE(seq.status.find("zero"), std::string::npos) << seq.status;
-  EXPECT_EQ(par.status, seq.status);
-  EXPECT_EQ(seq.after, seq.before);
-  EXPECT_EQ(par.after, par.before);
-  EXPECT_GT(par.parallel_forks, 0u);
+      " (set-modify <P> ^score ((sum <s>) / 0)))",
+      {5, 6});
+  ASSERT_NE(o.status, "");
+  EXPECT_NE(o.status.find("zero"), std::string::npos) << o.status;
+  EXPECT_EQ(o.after, o.before);
+  EXPECT_GT(o.rollbacks, 0u);
 }
 
-TEST(ParallelRhsTest, DeadTargetSkipOrderMatchesSequential) {
+TEST(SetRhsMemberTest, RemoveThenModifySkipsDeadTarget) {
   // Each member's body removes the member and then modifies it: the modify
-  // must hit the dead-target skip (not an error), exactly as sequentially —
-  // the parallel path checks liveness at apply time, after the removal.
-  const std::string rule =
+  // hits the dead-target skip, not an error.
+  RhsOutcome o = RunRhs(
       "(p drain { [item ^score <s>] <P> } :test ((count <P>) >= 3) -->"
-      " (foreach <P> ascending (remove <P>) (modify <P> ^score 9)))";
-  RhsOutcome seq = RunRhs(rule, {1, 2, 3}, false);
-  RhsOutcome par = RunRhs(rule, {1, 2, 3}, true);
-  EXPECT_EQ(seq.status, "");
-  EXPECT_EQ(par.status, "");
-  EXPECT_EQ(par.after, seq.after);
-  EXPECT_EQ(seq.skipped_dead, 3u);
-  EXPECT_EQ(par.skipped_dead, 3u);
-  EXPECT_GT(par.parallel_forks, 0u);
-  EXPECT_EQ(par.parallel_member_tasks, 3u);
+      " (foreach <P> ascending (remove <P>) (modify <P> ^score 9)))",
+      {1, 2, 3});
+  EXPECT_EQ(o.status, "");
+  EXPECT_EQ(o.after, "(startup\n)\nnext=4");
+  EXPECT_EQ(o.skipped_dead, 3u);
 }
 
-TEST(ParallelRhsTest, SuccessfulParallelRunIsBitIdentical) {
+TEST(SetRhsMemberTest, DescendingForeachModifiesInMemberOrder) {
   const std::string rule =
       "(p bump { [item ^score <s>] <P> } :test ((count <P>) >= 3) -->"
       " (foreach <P> descending (modify <P> ^score (<s> + 1))))";
-  RhsOutcome seq = RunRhs(rule, {1, 2, 3}, false);
-  RhsOutcome par = RunRhs(rule, {1, 2, 3}, true);
-  EXPECT_EQ(par.status, seq.status);
-  EXPECT_EQ(par.after, seq.after);
-  EXPECT_EQ(seq.parallel_forks, 0u);
-  EXPECT_GT(par.parallel_forks, 0u);
-  EXPECT_EQ(par.parallel_member_tasks % 3, 0u);
+  // One firing modifies the newest member first, so the fresh time tags
+  // (and the dump, which lists WMEs by tag) run in reverse.
+  RhsOutcome once = RunRhs(rule, {1, 2, 3}, 1);
+  EXPECT_EQ(once.status, "");
+  EXPECT_EQ(once.after,
+            "(startup\n  (make item ^id 3 ^score 4)\n"
+            "  (make item ^id 2 ^score 3)\n"
+            "  (make item ^id 1 ^score 2)\n)\nnext=7");
+  // Every modify changes the SOI, so the rule refires up to the cap.
+  RhsOutcome o = RunRhs(rule, {1, 2, 3});
+  EXPECT_EQ(o.status, "");
+  EXPECT_EQ(o.after,
+            "(startup\n  (make item ^id 1 ^score 11)\n"
+            "  (make item ^id 2 ^score 12)\n"
+            "  (make item ^id 3 ^score 13)\n)\nnext=34");
 }
 
 TEST(RhsRollbackTest, SuccessfulFiringStillCommitsAsOneBatch) {

@@ -3,7 +3,7 @@
 
 Usage: bench_compare.py BASELINE.json CURRENT.json
 
-Two checks, both hard failures (exit 1):
+Three checks, all hard failures (exit 1):
 
 1. Missing rows: every row label in the baseline must also be in the
    current report. A bench that stops emitting a row would otherwise
@@ -12,7 +12,13 @@ Two checks, both hard failures (exit 1):
    Rows only the current report has are allowed (a new row is gated once
    its seed is committed).
 
-2. Counter drift: every non-timing field must be exactly equal between the
+2. Missing fields: every field of a baseline row must also be in the
+   current report's row of the same label, for the same reason — a
+   counter a bench stops emitting would otherwise silently leave the
+   gate. A field dropped on purpose is dropped from the seed in the same
+   commit. Fields only the current row has are allowed.
+
+3. Counter drift: every non-timing field must be exactly equal between the
    baseline and the current run, on the labels both reports contain. The
    match counters (join attempts, tokens created/deleted, pool hits, ...)
    are deterministic for a fixed workload and configuration, so any drift
@@ -54,6 +60,18 @@ def check_missing_rows(baseline, current):
                   if label not in cur_rows)
 
 
+def check_missing_fields(baseline, current):
+    cur_rows = rows_by_label(current)
+    missing = []
+    for label, row in sorted(rows_by_label(baseline).items()):
+        cur = cur_rows.get(label)
+        if cur is None:
+            continue  # reported as a missing row
+        missing.extend(f"[{label}] {field}" for field in sorted(row)
+                       if field not in cur)
+    return missing
+
+
 def check_counter_drift(baseline, current):
     base_rows = rows_by_label(baseline)
     cur_rows = rows_by_label(current)
@@ -93,14 +111,18 @@ def main():
         return 1
 
     missing = check_missing_rows(baseline, current)
+    missing_fields = check_missing_fields(baseline, current)
     drift = check_counter_drift(baseline, current)
 
     for label in missing:
         print(f"MISSING ROW: {label}", file=sys.stderr)
+    for field in missing_fields:
+        print(f"MISSING FIELD: {field}", file=sys.stderr)
     for line in drift:
         print(f"COUNTER DRIFT: {line}", file=sys.stderr)
-    if missing or drift:
+    if missing or missing_fields or drift:
         print(f"bench_compare: FAILED ({len(missing)} missing rows, "
+              f"{len(missing_fields)} missing fields, "
               f"{len(drift)} drifted counters)", file=sys.stderr)
         return 1
     n = len(set(rows_by_label(baseline)) & set(rows_by_label(current)))
